@@ -24,7 +24,7 @@ final class ByteBrainParser(
     // raw-line pipeline: dedup first, preprocess only the unique lines
     // (input.tokens is untouched, so only ByteBrain's own preprocessing of
     // the uniques is on the clock — that IS the §4.1.3 dedup advantage)
-    val (model, matched) = ByteBrain.parseLocalRaw(input.lines.toIndexedSeq, cfg, parallelism)
+    val (model, matched) = ByteBrain.parseLocal(input.lines.toIndexedSeq, cfg, parallelism)
     // resolve once per distinct matched id, not per log
     val resolved = matched.distinct.map(id => id -> Query.resolve(model, id, threshold).id).toMap
     matched.map(resolved)

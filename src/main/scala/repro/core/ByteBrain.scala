@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.concurrent.{Callable, Executors, TimeUnit}
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
@@ -10,7 +11,8 @@ import org.apache.spark.sql.functions._
 /** End-to-end ByteBrain facade.
   *
   * `train`/`matchDf` are the distributed Spark paths (the repro target);
-  * `trainLocal`/`parseLocal` are driver-local equivalents used by the
+  * `trainLocal`/`parseLocal` are driver-local equivalents, sharing
+  * [[Trainer]]'s per-group training step, used by the
   * per-dataset accuracy and throughput benches — the paper's own evaluation
   * harness is likewise single-machine (§5.3), with groups clustered on a
   * small thread pool (§3 "Parallel": 1–5 cores in production).
@@ -19,157 +21,81 @@ object ByteBrain {
 
   // ---------------------------------------------------------------- local path
 
-  /** Preprocess one message: common variable replacement + tokenization. */
+  /** Preprocess one message: common variable replacement + tokenization.
+    * A null message has no tokens, like an empty one.
+    */
   def preprocess(message: String, cfg: ByteBrainConfig, tokenizer: Tokenizer): Array[String] =
-    tokenizer.tokenize(CommonVariables.replace(message, cfg.variablePatterns))
+    if (message == null) Array.empty
+    else tokenizer.tokenize(CommonVariables.replace(message, cfg.variablePatterns))
 
-  /** Offline training on an in-memory batch (sample → dedup → group → cluster). */
+  /** Offline training on an in-memory batch (dedup → preprocess → group →
+    * sample → cluster), the local twin of [[Trainer.train]].
+    */
   def trainLocal(messages: IterableOnce[String], cfg: ByteBrainConfig,
                  parallelism: Int = Runtime.getRuntime.availableProcessors()): TemplateModel = {
+    val (uniques, counts, _) = rawUniques(messages.iterator.toIndexedSeq, cfg.dedup)
     val tokenizer = new Tokenizer(cfg.tokenizerRegex)
-    trainLocalTokens(messages.iterator.map(preprocess(_, cfg, tokenizer)).toIndexedSeq,
-      cfg, parallelism)
+    trainRows(uniques.iterator.map(preprocess(_, cfg, tokenizer)).zip(counts), cfg, parallelism)
   }
 
-  /** Training on already-preprocessed token sequences — the entry the
-    * evaluation harness uses so preprocessing is paid exactly once.
+  /** Train + match a batch locally, returning the model and the matched
+    * template id per input message (the grouping the GA metric scores), −1
+    * for messages without tokens. Raw lines are deduplicated first (§4.1.3),
+    * so each unique line is preprocessed and matched once: log streams are
+    * massively repetitive (paper Fig. 4), which makes this a key part of
+    * ByteBrain's measured throughput edge over per-line streaming parsers.
     */
-  def trainLocalTokens(tokensIn: IndexedSeq[Array[String]], cfg: ByteBrainConfig,
-                       parallelism: Int = Runtime.getRuntime.availableProcessors()): TemplateModel =
-    trainLocalWeighted(tokensIn.map(t => (t, 1L)), cfg, parallelism)
+  def parseLocal(lines: IndexedSeq[String], cfg: ByteBrainConfig,
+                 parallelism: Int = Runtime.getRuntime.availableProcessors()): (TemplateModel, Array[Int]) = {
+    val (uniques, counts, uniqueOf) = rawUniques(lines, cfg.dedup)
+    val tokenizer = new Tokenizer(cfg.tokenizerRegex)
+    val tokens = uniques.map(preprocess(_, cfg, tokenizer))
+    val model = trainRows(tokens.iterator.zip(counts), cfg, parallelism)
+    val matcher = new OnlineMatcher(model)
+    val matched = tokens.map(t => if (t.isEmpty) -1 else matcher.matchOrInsert(t).id)
+    (model, uniqueOf.map(matched))
+  }
 
-  /** Training on (tokens, multiplicity) rows — multiplicities arriving from
-    * upstream raw-line deduplication fold into the §4.1.3 dedup.
+  /** Raw-line dedup (§4.1.3): the distinct lines in first-seen order, the
+    * count of each, and every input line's index into them. Under
+    * `dedup = false` each line is its own entry with count 1.
     */
-  def trainLocalWeighted(rowsIn: IndexedSeq[(Array[String], Long)], cfg: ByteBrainConfig,
-                         parallelism: Int = Runtime.getRuntime.availableProcessors()): TemplateModel = {
-    // §3: exceptionally large volumes are randomly sampled to bound memory —
-    // counts are scaled with deterministic stochastic rounding so rows with
-    // small multiplicities drop out proportionally instead of all surviving
-    val totalIn = rowsIn.iterator.map(_._2).sum
-    val sampled =
-      if (totalIn <= cfg.sampleMaxLogs || rowsIn.isEmpty) rowsIn
-      else {
-        val scale = cfg.sampleMaxLogs.toDouble / totalIn
-        rowsIn.flatMap { case (t, c) =>
-          // murmur finalizer: FNV's raw high bits are not uniform enough
-          var h = HashEncoder.hash64(t.mkString(" ") + cfg.seed)
-          h ^= h >>> 33; h *= 0xff51afd7ed558ccdL
-          h ^= h >>> 33; h *= 0xc4ceb9fe1a85ec53L
-          h ^= h >>> 33
-          val u = (h >>> 11).toDouble / (1L << 53).toDouble
-          val c2 = math.floor(c * scale + u).toLong
-          if (c2 <= 0) None else Some((t, c2))
-        }
-      }
-
-    // dedup (§4.1.3) — or unit-count rows when the ablation disables it
-    val counts = mutable.LinkedHashMap.empty[String, (Array[String], Long)]
-    val rows = mutable.ArrayBuffer.empty[(Array[String], Long)]
-    sampled.foreach { case (toks, cnt) =>
-      if (toks.nonEmpty) {
-        if (cfg.dedup) {
-          val key = toks.mkString(" ")
-          counts.updateWith(key) {
-            case Some((t, c)) => Some((t, c + cnt))
-            case None         => Some((toks, cnt))
-          }
-        } else rows += ((toks, cnt))
-      }
-    }
-    val deduped: Iterator[(Array[String], Long)] =
-      if (cfg.dedup) counts.valuesIterator else rows.iterator
-
-    // initial grouping (§4.2)
-    val groups = mutable.LinkedHashMap.empty[(Int, List[String]), mutable.ArrayBuffer[UniqueLog]]
-    deduped.foreach { case (tokens, cnt) =>
-      val key = (tokens.length, tokens.take(cfg.prefixTokens).toList)
-      groups.getOrElseUpdate(key, mutable.ArrayBuffer.empty) += UniqueLog(tokens, cnt)
+  private def rawUniques(lines: IndexedSeq[String], dedup: Boolean): (IndexedSeq[String], Array[Long], Array[Int]) =
+    if (!dedup) (lines, Array.fill(lines.length)(1L), lines.indices.toArray)
+    else {
+      val uniques = mutable.ArrayBuffer.empty[String]
+      val counts = mutable.ArrayBuffer.empty[Long]
+      val index = mutable.HashMap.empty[String, Int]
+      val uniqueOf = lines.iterator.map { line =>
+        val id = index.getOrElseUpdate(line, { uniques += line; counts += 0L; uniques.size - 1 })
+        counts(id) += 1L
+        id
+      }.toArray
+      (uniques.toIndexedSeq, counts.toArray, uniqueOf)
     }
 
-    // per-group hierarchical clustering, groups in parallel (§3 "Parallel")
+  /** Trains on preprocessed (tokens, count) rows: rows without tokens are
+    * dropped, the rest grouped (§4.2) and every group trained by
+    * [[Trainer.trainGroup]] on a small thread pool (§3 "Parallel").
+    */
+  private def trainRows(rows: Iterator[(Array[String], Long)], cfg: ByteBrainConfig,
+                        parallelism: Int): TemplateModel = {
+    val groups = rows.filter(_._1.nonEmpty).toSeq
+      .groupBy { case (t, _) => Trainer.groupKey(ArraySeq.unsafeWrapArray(t), cfg) }
+    val quotas = Trainer.groupQuotas(groups.iterator.map { case (k, rs) => k -> rs.map(_._2).sum }.toSeq, cfg)
     val pool = Executors.newFixedThreadPool(math.max(1, parallelism))
     try {
-      val tasks = groups.toSeq.map { case ((len, prefix), logs) =>
+      val tasks = groups.toSeq.map { case (key, rs) =>
         new Callable[Seq[LocalNode]] {
-          override def call(): Seq[LocalNode] = {
-            val gk = GroupKey(len, prefix)
-            HierarchicalClustering.buildGroupTree(gk, logs.toIndexedSeq, cfg).map { n =>
-              LocalNode(len, prefix, n.id, n.parentId, n.template, n.saturation,
-                n.effectiveSaturation, n.depth, n.count)
-            }
-          }
+          override def call(): Seq[LocalNode] =
+            Trainer.trainGroup(key, rs.iterator, quotas.getOrElse(key, 0L), cfg)
         }
       }
-      val results = pool.invokeAll(tasks.asJava).asScala.toSeq.flatMap(_.get())
-      Trainer.assemble(results)
+      Trainer.assemble(pool.invokeAll(tasks.asJava).asScala.toSeq.flatMap(_.get()))
     } finally {
       pool.shutdown()
       pool.awaitTermination(1, TimeUnit.MINUTES)
     }
-  }
-
-  /** Train + match a batch locally, returning the model and the matched
-    * template id per input message (the grouping the GA metric scores).
-    * Matching dedups the batch first — each unique log is matched once.
-    */
-  def parseLocal(messages: IndexedSeq[String], cfg: ByteBrainConfig,
-                 parallelism: Int = Runtime.getRuntime.availableProcessors()): (TemplateModel, Array[Int]) = {
-    val tokenizer = new Tokenizer(cfg.tokenizerRegex)
-    parseLocalTokens(messages.map(preprocess(_, cfg, tokenizer)), cfg, parallelism)
-  }
-
-  /** Train + match over already-preprocessed token sequences. */
-  def parseLocalTokens(tokens: IndexedSeq[Array[String]], cfg: ByteBrainConfig,
-                       parallelism: Int = Runtime.getRuntime.availableProcessors()): (TemplateModel, Array[Int]) = {
-    val model = trainLocalTokens(tokens, cfg, parallelism)
-    val matcher = new OnlineMatcher(model)
-    val cache = mutable.HashMap.empty[String, Int]
-    val out = new Array[Int](tokens.length)
-    var i = 0
-    while (i < tokens.length) {
-      val toks = tokens(i)
-      out(i) = cache.getOrElseUpdate(toks.mkString(" "), matcher.matchOrInsert(toks).id)
-      i += 1
-    }
-    (model, out)
-  }
-
-  /** The fast raw-line pipeline: deduplicate *raw* records first (§4.1.3),
-    * then preprocess, train on and match only the unique lines. Log streams
-    * are massively repetitive (paper Fig. 4), so this removes most of the
-    * per-record regex/tokenization cost — a key part of ByteBrain's measured
-    * throughput edge over per-line streaming parsers. Disabled by the
-    * `dedup = false` ablation, which degrades to the per-line path.
-    */
-  def parseLocalRaw(lines: IndexedSeq[String], cfg: ByteBrainConfig,
-                    parallelism: Int = Runtime.getRuntime.availableProcessors()): (TemplateModel, Array[Int]) = {
-    if (!cfg.dedup) return parseLocal(lines, cfg, parallelism)
-
-    val uniqIdxOf = new Array[Int](lines.length)
-    val uniqLines = mutable.ArrayBuffer.empty[String]
-    val counts = mutable.ArrayBuffer.empty[Long]
-    val index = mutable.HashMap.empty[String, Int]
-    var i = 0
-    while (i < lines.length) {
-      val id = index.getOrElseUpdate(lines(i), {
-        uniqLines += lines(i); counts += 0L; uniqLines.size - 1
-      })
-      counts(id) += 1L
-      uniqIdxOf(i) = id
-      i += 1
-    }
-
-    val tokenizer = new Tokenizer(cfg.tokenizerRegex)
-    val uniqTokens = uniqLines.map(preprocess(_, cfg, tokenizer)).toIndexedSeq
-    val model = trainLocalWeighted(
-      uniqTokens.zip(counts).filter(_._1.nonEmpty), cfg, parallelism)
-
-    val matcher = new OnlineMatcher(model)
-    val matchedPerUnique = uniqTokens.map { toks =>
-      if (toks.isEmpty) -1 else matcher.matchOrInsert(toks).id
-    }
-    (model, uniqIdxOf.map(matchedPerUnique))
   }
 
   // ---------------------------------------------------------------- spark path
@@ -186,11 +112,10 @@ object ByteBrain {
   def matchDf(spark: SparkSession, model: TemplateModel, logs: DataFrame, cfg: ByteBrainConfig,
               messageCol: String = "message"): DataFrame = {
     val bc = spark.sparkContext.broadcast(new CompiledMatcher(model))
-    val patterns = cfg.variablePatterns
-    val regex = cfg.tokenizerRegex
+    // shipped inside the UDF's closure: one instance per task, not per row
+    val tokenizer = new Tokenizer(cfg.tokenizerRegex)
     val matchUdf = udf { (msg: String) =>
-      val toks = new Tokenizer(regex).tokenize(CommonVariables.replace(if (msg == null) "" else msg, patterns))
-      bc.value.matchTokens(toks) match {
+      bc.value.matchTokens(preprocess(msg, cfg, tokenizer)) match {
         case Some(n) => (n.id, n.effectiveSaturation, n.templateText)
         case None    => (-1, 0.0, null: String)
       }

@@ -23,7 +23,8 @@ package repro.core
   * @param maxClustersPerSplit cap on clusters one split may expand to
   * @param maxDepth           hard recursion cap (paper: bounded by token positions)
   * @param mergeThreshold     template similarity above which retrained templates merge (§3)
-  * @param sampleMaxLogs      random-sampling cap to avoid OOM on huge topics (§3)
+  * @param sampleMaxLogs      sampling cap to avoid OOM on huge topics (§3): a topic with
+  *                           more lines trains on exactly this many (see [[Trainer]])
   */
 final case class ByteBrainConfig(
     stopThreshold: Double = 1.0,

@@ -1,8 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions.regexp_replace
-
 /** Common variable replacement (paper §4.1.2).
   *
   * Before clustering, obviously-variable fields (timestamps, IPs, hashes,
@@ -31,10 +28,4 @@ object CommonVariables {
   /** Replace all default patterns in one raw message (driver/executor local). */
   def replace(message: String, patterns: Seq[(String, String)] = defaultPatterns): String =
     patterns.foldLeft(message) { case (m, (_, p)) => m.replaceAll(p, Wildcard) }
-
-  /** Same replacement chain as a Catalyst expression over a message column,
-    * so the Spark training job does the substitution natively.
-    */
-  def replaceColumn(message: Column, patterns: Seq[(String, String)] = defaultPatterns): Column =
-    patterns.foldLeft(message) { case (c, (_, p)) => regexp_replace(c, p, Wildcard) }
 }

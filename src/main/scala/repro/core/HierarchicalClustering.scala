@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import scala.util.Random
 
@@ -19,8 +20,11 @@ object HierarchicalClustering {
     require(unordered.nonEmpty, "empty initial group")
     // canonical order: Spark's groupByKey yields logs in partition order, the
     // local path in insertion order — sorting makes the seeded clustering
-    // identical in both (distributed == local training, pinned by tests)
-    val logs = unordered.sortBy(l => (l.tokens.mkString(""), l.firstId))
+    // identical in both (distributed == local training, pinned by tests).
+    // The joined key alone is ambiguous when tokens contain the separator, so
+    // the token arrays break its ties element-wise.
+    val logs = unordered.sortBy(l => (l.tokens.mkString("\u0001"), ArraySeq.unsafeWrapArray(l.tokens): Seq[String]))(
+      Ordering.Tuple2(Ordering.String, Ordering.Implicits.seqOrdering[Seq, String]))
     val m = groupKey.numTokens
     val rng = new Random(cfg.seed ^ groupKey.hashCode().toLong)
     val out = mutable.ArrayBuffer.empty[TemplateNode]

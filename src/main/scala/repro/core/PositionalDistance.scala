@@ -41,33 +41,4 @@ object PositionalDistance {
   /** Distance d(L, C) = 1 − similarity (smaller = more similar). */
   def distance(hashes: Array[Long], stats: ClusterStats, cfg: ByteBrainConfig): Double =
     1.0 - similarity(hashes, stats, cfg)
-
-  /** Leave-one-out similarity of a log to its *own* cluster: the log's
-    * contribution is removed from the statistics first. Without this, a
-    * single-log cluster is absorbing — every position is constant, so the
-    * member's self-similarity is exactly 1 and it can never be reassigned,
-    * stranding expansion seeds as junk singleton templates.
-    */
-  def similarityExcluding(log: UniqueLog, stats: ClusterStats, cfg: ByteBrainConfig): Double = {
-    val m = stats.numPositions
-    val remaining = stats.totalCount - log.count
-    if (remaining <= 0) return 0.0
-    var num = 0.0
-    var den = 0.0
-    var i = 0
-    while (i < m) {
-      val h = log.hashes(i)
-      val cnt = stats.countAt(i, h)
-      // the log is the position's only carrier of this token → one fewer value
-      val ni = if (cnt == log.count) stats.distinctAt(i) - 1 else stats.distinctAt(i)
-      val w =
-        if (!cfg.positionImportance) 1.0
-        else if (ni <= 1) ConstantWeight
-        else 1.0 / (ni - 1).toDouble
-      num += w * ((cnt - log.count).toDouble / remaining)
-      den += w
-      i += 1
-    }
-    if (den == 0.0) 0.0 else num / den
-  }
 }

@@ -16,7 +16,7 @@ import java.util.regex.Pattern
   * Users may supply a custom delimiter regex per topic; look-around and other
   * super-linear constructs are rejected (paper: worst case O(2^n)).
   */
-final class Tokenizer(delimiterRegex: String = Tokenizer.DefaultDelimiters) {
+final class Tokenizer(delimiterRegex: String = Tokenizer.DefaultDelimiters) extends Serializable {
   require(!Tokenizer.hasForbiddenConstruct(delimiterRegex),
     s"look-around/backreference constructs are not allowed in topic tokenizers: $delimiterRegex")
 

@@ -1,5 +1,8 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+import scala.collection.mutable
+
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -18,23 +21,26 @@ final case class LocalNode(
     count: Long,
 )
 
-/** Offline training as a Spark job (paper §3 "Offline Training", §4.1–4.7).
+/** Offline training (paper §3 "Offline Training", §4.1–4.7): the training
+  * core shared by both drivers, and the Spark driver.
   *
-  * The dataflow mirrors the paper's pipeline, distributed over partitioned log
-  * files:
+  * Both drivers deduplicate raw lines, preprocess only the unique lines into
+  * (tokens, count) rows, group the rows by [[groupKey]], run [[trainGroup]] on
+  * every group and [[assemble]] the nodes. The Spark dataflow:
   *
-  *  1. common variable replacement — native `regexp_replace` chain (§4.1.2);
-  *  2. tokenization — UDF over the message column (§4.1.1);
-  *  3. deduplication — `groupBy(tokens).count()` (§4.1.3), the first shuffle;
-  *  4. initial grouping by (token count, k-token prefix) — `groupByKey` (§4.2),
-  *     the second shuffle;
-  *  5. per-group hash encoding + hierarchical clustering inside
-  *     `flatMapGroups` — groups are independent, so Spark parallelizes them
-  *     across cores exactly as §3 "Parallel" describes;
-  *  6. the collected nodes are re-based to global ids into a [[TemplateModel]].
+  *  1. raw-line deduplication — `groupBy(message).count()` (§4.1.3), the
+  *     first shuffle;
+  *  2. common variable replacement + tokenization of the unique lines —
+  *     `mapPartitions` with one [[Tokenizer]] per partition (§4.1.1–4.1.2);
+  *  3. initial grouping by (token count, k-token prefix) — `groupByKey`
+  *     (§4.2), the second shuffle;
+  *  4. [[trainGroup]] inside `flatMapGroups` — groups are independent, so
+  *     Spark parallelizes them across cores exactly as §3 "Parallel" describes;
+  *  5. the collected nodes are re-based to global ids by [[assemble]].
   *
-  * Exceptionally large topics are randomly sampled down to
-  * `cfg.sampleMaxLogs` before training to bound memory (§3).
+  * A topic over `cfg.sampleMaxLogs` lines is sampled down to exactly that
+  * many to bound memory (§3): [[groupQuotas]] splits the cap across groups,
+  * [[trainGroup]] splits each group's quota across its unique logs.
   */
 object Trainer {
 
@@ -42,47 +48,107 @@ object Trainer {
             messageCol: String = "message"): TemplateModel = {
     import spark.implicits._
 
-    val total = logs.count()
-    val sampled =
-      if (total > cfg.sampleMaxLogs)
-        logs.sample(withReplacement = false, cfg.sampleMaxLogs.toDouble / total, cfg.seed)
-      else logs
+    val raw: Dataset[(String, Long)] =
+      if (cfg.dedup) logs.groupBy(col(messageCol)).count().as[(String, Long)]
+      else logs.select(col(messageCol), lit(1L)).as[(String, Long)]
 
-    val tokenizerRegex = cfg.tokenizerRegex
-    val tokenizeUdf = udf { (s: String) =>
-      new Tokenizer(tokenizerRegex).tokenize(if (s == null) "" else s).toSeq
+    val rows: Dataset[(Seq[String], Long)] = raw.mapPartitions { it =>
+      val tokenizer = new Tokenizer(cfg.tokenizerRegex)
+      it.map { case (line, cnt) => (ByteBrain.preprocess(line, cfg, tokenizer).toSeq, cnt) }
+        .filter(_._1.nonEmpty)
     }
 
-    val prepared: DataFrame = sampled
-      .select(CommonVariables.replaceColumn(col(messageCol), cfg.variablePatterns).as("msg"))
-      .select(tokenizeUdf($"msg").as("tokens"))
-      .where(size($"tokens") > 0)
+    // the input line count bounds the trainable one: per-group totals are
+    // only needed when it exceeds the cap
+    val quotas: Option[Map[GroupKey, Long]] =
+      if (logs.count() <= cfg.sampleMaxLogs) None
+      else {
+        val totals = rows.groupByKey(r => groupKey(r._1, cfg)).mapValues(_._2).reduceGroups(_ + _)
+        Some(groupQuotas(totals.collect().toSeq, cfg))
+      }
 
-    val deduped: Dataset[(Seq[String], Long)] =
-      if (cfg.dedup)
-        prepared.groupBy($"tokens").agg(count(lit(1)).as("cnt"))
-          .as[(Seq[String], Long)]
-      else
-        prepared.select($"tokens", lit(1L).as("cnt")).as[(Seq[String], Long)]
-
-    val k = cfg.prefixTokens
-    val localNodes: Seq[LocalNode] = deduped
-      .groupByKey { case (tokens, _) => (tokens.length, tokens.take(k)) }
-      .flatMapGroups { (key: (Int, Seq[String]), it: Iterator[(Seq[String], Long)]) =>
-        val (len, prefix) = key
-        val logs = it.map { case (tokens, cnt) =>
-          UniqueLog(tokens.toArray, cnt)
-        }.toIndexedSeq
-        val gk = GroupKey(len, prefix)
-        HierarchicalClustering.buildGroupTree(gk, logs, cfg).map { n =>
-          LocalNode(len, prefix, n.id, n.parentId, n.template, n.saturation,
-            n.effectiveSaturation, n.depth, n.count)
-        }
+    val localNodes: Seq[LocalNode] = rows
+      .groupByKey(r => groupKey(r._1, cfg))
+      .flatMapGroups { (key: GroupKey, it: Iterator[(Seq[String], Long)]) =>
+        val quota = quotas.fold(Long.MaxValue)(_.getOrElse(key, 0L))
+        trainGroup(key, it.map { case (t, c) => (t.toArray, c) }, quota, cfg)
       }
       .collect()
       .toSeq
 
     assemble(localNodes)
+  }
+
+  /** Initial-grouping key of a token sequence (§4.2). */
+  def groupKey(tokens: Seq[String], cfg: ByteBrainConfig): GroupKey =
+    GroupKey(tokens.length, tokens.take(cfg.prefixTokens).toList)
+
+  /** Sampling quota of every group (§3): the group totals themselves while
+    * the topic fits `cfg.sampleMaxLogs`, else the cap split across groups in
+    * proportion to their totals by [[apportion]]. Groups that get nothing
+    * are left out.
+    */
+  def groupQuotas(totals: Seq[(GroupKey, Long)], cfg: ByteBrainConfig): Map[GroupKey, Long] =
+    if (totals.iterator.map(_._2).sum <= cfg.sampleMaxLogs) totals.toMap
+    else apportion(totals.toIndexedSeq, cfg.sampleMaxLogs, cfg.seed)(k => k.numTokens.toString +: k.prefix).toMap
+
+  /** The per-group training step both drivers run, over the group's
+    * (tokens, count) rows in any order: token-level dedup (§4.1.3; the rows
+    * stay as they are under `dedup = false`), sampling down to `quota` lines,
+    * hash encoding and hierarchical clustering (§4.3–4.7).
+    */
+  def trainGroup(key: GroupKey, rows: Iterator[(Array[String], Long)], quota: Long,
+                 cfg: ByteBrainConfig): Seq[LocalNode] = {
+    val deduped: IndexedSeq[(Array[String], Long)] =
+      if (!cfg.dedup) rows.toIndexedSeq
+      else {
+        val counts = mutable.HashMap.empty[Seq[String], Long]
+        rows.foreach { case (t, c) =>
+          counts.updateWith(ArraySeq.unsafeWrapArray(t))(prev => Some(prev.getOrElse(0L) + c))
+        }
+        counts.iterator.map { case (t, c) => (t.toArray, c) }.toIndexedSeq
+      }
+    val sampled =
+      if (deduped.iterator.map(_._2).sum <= quota) deduped
+      else apportion(deduped, quota, cfg.seed)(t => ArraySeq.unsafeWrapArray(t))
+    if (sampled.isEmpty) Seq.empty
+    else HierarchicalClustering.buildGroupTree(key, sampled.map { case (t, c) => UniqueLog(t, c) }, cfg)
+      .map { n =>
+        LocalNode(key.numTokens, key.prefix, n.id, n.parentId, n.template, n.saturation,
+          n.effectiveSaturation, n.depth, n.count)
+      }
+  }
+
+  /** Exact proportional apportionment by largest remainder: item i of weight
+    * w_i out of W gets ⌊w_i·target/W⌋, and the units still missing from
+    * `target` go one each to the largest remainders, ties broken by a seeded
+    * hash of the item's tokens, then by the tokens. Items that get nothing
+    * are dropped. The result sums to exactly `target` (< W) and depends only
+    * on the set of items, not their order.
+    */
+  private[core] def apportion[K](items: IndexedSeq[(K, Long)], target: Long, seed: Long)(
+      tokensOf: K => Seq[String]): IndexedSeq[(K, Long)] = {
+    val total = BigInt(items.iterator.map(_._2).sum)
+    val shares = items.map { case (k, w) =>
+      val (q, r) = (BigInt(w) * target) /% total
+      (k, q.toLong, r.toLong)
+    }
+    val missing = (target - shares.iterator.map(_._2).sum).toInt
+    val order = Ordering.Tuple3(Ordering.Long, Ordering.Long, Ordering.Implicits.seqOrdering[Seq, String])
+    val extra = shares.indices
+      .sortBy { i => val (k, _, r) = shares(i); (-r, tieHash(tokensOf(k), seed), tokensOf(k)) }(order)
+      .take(missing).toSet
+    shares.indices.iterator
+      .map { i => (shares(i)._1, shares(i)._2 + (if (extra(i)) 1L else 0L)) }
+      .filter(_._2 > 0).toIndexedSeq
+  }
+
+  private def tieHash(tokens: Seq[String], seed: Long): Long = {
+    // murmur finalizer: FNV's raw high bits are not uniform enough
+    var h = HashEncoder.hash64(tokens.mkString(" ") + seed)
+    h ^= h >>> 33; h *= 0xff51afd7ed558ccdL
+    h ^= h >>> 33; h *= 0xc4ceb9fe1a85ec53L
+    h ^ (h >>> 33)
   }
 
   /** Re-base per-group local ids into one global id space (deterministic:

@@ -6,7 +6,8 @@ package repro.core
   *               constant positions can be rendered back into template text
   * @param hashes 64-bit hash encoding of `tokens` (same length)
   * @param count  number of raw records collapsed into this unique log
-  * @param firstId smallest original record id, for deterministic tie-breaks
+  * @param firstId original record id; training does not read it (logs are
+  *                ordered by their tokens alone)
   */
 final case class UniqueLog(tokens: Array[String], hashes: Array[Long], count: Long, firstId: Long) {
   def numTokens: Int = tokens.length

@@ -92,6 +92,49 @@ class ByteBrainLocalSpec extends AnyFunSuite {
     assert(model.nodes.filter(_.isRoot).map(_.count).sum <= 100)
   }
 
+  test("sampling keeps exactly sampleMaxLogs lines and every template, for any seed") {
+    val (lines, _) = corpus(500)
+    (0L until 20L).foreach { seed =>
+      val model = ByteBrain.trainLocal(lines, cfg.copy(sampleMaxLogs = 100, seed = seed))
+      assert(model.nodes.filter(_.isRoot).map(_.count).sum == 100, s"seed $seed")
+      val leaves = model.leaves.map(_.templateText)
+      Seq("accept", "reject", "worker").foreach { t =>
+        assert(leaves.exists(_.startsWith(t)), s"seed $seed lost template $t")
+      }
+    }
+  }
+
+  test("a sampled model depends only on the multiset of lines") {
+    val (lines, _) = corpus(500)
+    val c = cfg.copy(sampleMaxLogs = 100)
+    val bytes = ModelCodec.serialize(ByteBrain.trainLocal(lines, c))
+    val shuffled = new scala.util.Random(3).shuffle(lines)
+    assert(ModelCodec.serialize(ByteBrain.trainLocal(shuffled, c, parallelism = 1)) sameElements bytes)
+    assert(ModelCodec.serialize(ByteBrain.parseLocal(shuffled, c)._1) sameElements bytes)
+  }
+
+  test("group quotas split the cap exactly, in proportion to group totals") {
+    val keys = Seq("a", "b", "c").map(p => GroupKey(2, Seq(p)))
+    val c = cfg.copy(sampleMaxLogs = 10)
+    assert(Trainer.groupQuotas(keys.zip(Seq(50L, 30L, 20L)), c) == keys.zip(Seq(5L, 3L, 2L)).toMap)
+    // equal remainders: the seeded tie-break hands the 2 units to 2 of 3 groups
+    val tied = Trainer.groupQuotas(keys.map(_ -> 1L), c.copy(sampleMaxLogs = 2))
+    assert(tied.size == 2 && tied.values.forall(_ == 1L))
+    // under the cap the totals pass through unchanged
+    assert(Trainer.groupQuotas(keys.map(_ -> 3L), c) == keys.map(_ -> 3L).toMap)
+  }
+
+  test("null, empty and whitespace-only lines are dropped by both local entries") {
+    val (lines, _) = corpus(200)
+    val noisy = (lines.take(50) :+ null :+ "" :+ "   ") ++ lines.drop(50) :+ null
+    val clean = ModelCodec.serialize(ByteBrain.trainLocal(lines, cfg))
+    assert(ModelCodec.serialize(ByteBrain.trainLocal(noisy, cfg)) sameElements clean)
+    val (model, matched) = ByteBrain.parseLocal(noisy, cfg)
+    assert(ModelCodec.serialize(model) sameElements clean)
+    assert(matched.count(_ == -1) == 4)
+    assert(matched.zip(noisy).forall { case (id, l) => (id == -1) == (l == null || l.trim.isEmpty) })
+  }
+
   test("empty input gives the empty model") {
     assert(ByteBrain.trainLocal(Vector.empty[String], cfg).size == 0)
   }

@@ -103,4 +103,17 @@ class HierarchicalClusteringSpec extends AnyFunSuite {
     val nodes = build(lines)
     assert(nodes.size == 1)
   }
+
+  test("log order is total: tokens whose joined key collides still give one tree") {
+    val sep = "\u0001"
+    val logs = Vector(
+      UniqueLog(Array(s"a${sep}b", "c", "x"), 3), UniqueLog(Array("a", s"b${sep}c", "x"), 2),
+      UniqueLog(Array(s"a${sep}b", "c", "y"), 1), UniqueLog(Array("a", s"b${sep}c", "y"), 4),
+      UniqueLog(Array("d", "e", "x"), 1))
+    val key = GroupKey(3, Nil)
+    val expected = HierarchicalClustering.buildGroupTree(key, logs, cfg)
+    logs.permutations.foreach { p =>
+      assert(HierarchicalClustering.buildGroupTree(key, p, cfg) == expected)
+    }
+  }
 }

@@ -42,9 +42,28 @@ class TrainerSparkSpec extends SparkSpec {
   test("Spark training equals local training (same templates, counts, tree)") {
     val distributed = Trainer.train(spark, logsDf, cfg)
     val local = ByteBrain.trainLocal(ds.lines, cfg)
-    def canon(m: TemplateModel) =
-      m.nodes.map(n => (n.groupKey, n.templateText, n.depth, n.count, n.saturation)).toSet
-    assert(canon(distributed) == canon(local))
+    assert(ModelCodec.serialize(distributed) sameElements ModelCodec.serialize(local))
+  }
+
+  test("Spark training equals local training when sampling applies (sampleMaxLogs = 500)") {
+    val c = cfg.copy(sampleMaxLogs = 500)
+    val distributed = Trainer.train(spark, logsDf, c)
+    val local = ByteBrain.trainLocal(ds.lines, c)
+    assert(ModelCodec.serialize(distributed) sameElements ModelCodec.serialize(local))
+    Seq(distributed, local).foreach { m =>
+      assert(m.nodes.filter(_.isRoot).map(_.count).sum <= 500)
+    }
+  }
+
+  test("both drivers drop null, empty and whitespace-only lines") {
+    val lines = ds.lines.take(2000)
+    val noisy = (lines.take(100) :+ null :+ "" :+ " \t ") ++ lines.drop(100) :+ null
+    val clean = ModelCodec.serialize(ByteBrain.trainLocal(lines, cfg))
+    assert(ModelCodec.serialize(ByteBrain.trainLocal(noisy, cfg)) sameElements clean)
+    assert(ModelCodec.serialize(Trainer.train(spark, noisy.toDF("message"), cfg)) sameElements clean)
+    val unique = cfg.copy(dedup = false)
+    assert(ModelCodec.serialize(Trainer.train(spark, noisy.toDF("message"), unique)) sameElements
+      ModelCodec.serialize(ByteBrain.trainLocal(noisy, unique)))
   }
 
   test("matchDf matches every trained log to a template") {
@@ -126,6 +145,6 @@ class TrainerSparkSpec extends SparkSpec {
   test("sampling caps the trained volume on oversized topics (§3)") {
     val c = cfg.copy(sampleMaxLogs = 500)
     val model = Trainer.train(spark, logsDf, c)
-    assert(model.nodes.filter(_.isRoot).map(_.count).sum <= 600) // fraction sampling jitter
+    assert(model.nodes.filter(_.isRoot).map(_.count).sum == 500)
   }
 }
