@@ -3,7 +3,7 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 
-import repro.core.{ByteBrain, ByteBrainConfig, Query}
+import repro.core.{ByteBrain, ByteBrainConfig}
 import repro.eval.GroupingAccuracy
 import repro.logdata.Datasets
 
@@ -27,12 +27,8 @@ object AccuracyJob {
       val model = ByteBrain.train(spark, df, cfg)
       val matched = ByteBrain.matchDf(spark, model, df, cfg)
 
-      val bc = spark.sparkContext.broadcast(model)
-      val resolveUdf = udf { (id: Int) =>
-        if (id < 0) -1 else Query.resolve(bc.value, id, threshold).id
-      }
-      val assignments = matched
-        .select(resolveUdf(col("template_id")).as("pred"), col("truth_id").as("truth"))
+      val assignments = ByteBrain.queryDf(spark, model, matched, threshold)
+        .select(col("query_template_id").as("pred"), col("truth_id").as("truth"))
       val ga = GroupingAccuracy.computeDf(spark, assignments)
       println(f"dataset=${ds.name} logs=${ds.numLogs} templates=${ds.numTemplates} " +
         f"modelNodes=${model.size} GA@$threshold%.2f = $ga%.4f")

@@ -1,6 +1,5 @@
 package repro.jobs
 
-import repro.baselines.ByteBrainParser
 import repro.eval.{Harness, Methods}
 import repro.logdata.Datasets
 
@@ -30,6 +29,5 @@ object LocalEvalJob {
           (if (r.finished) "" else "TIMEOUT"))
       }
     }
-    val _ = new ByteBrainParser() // keep explicit dependency for readers
   }
 }

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{ByteBrainConfig, CommonVariables, Tokenizer}
+import repro.core.{ByteBrain, ByteBrainConfig, CommonVariables, Tokenizer}
 import repro.logdata.GeneratedDataset
 
 /** Uniform input handed to every parser: raw lines plus their shared
@@ -43,7 +43,7 @@ object ParseInput {
   def of(ds: GeneratedDataset, cfg: ByteBrainConfig = ByteBrainConfig()): ParseInput = {
     lazy val toks: IndexedSeq[Array[String]] = {
       val tokenizer = new Tokenizer(cfg.tokenizerRegex)
-      ds.lines.map(l => tokenizer.tokenize(CommonVariables.replace(l, cfg.variablePatterns)))
+      ds.lines.map(ByteBrain.preprocess(_, cfg, tokenizer))
     }
     val mask: Int => Array[Boolean] = { i =>
       val t = ds.templates(ds.truth(i))

@@ -9,18 +9,10 @@ package repro.core
   *  - `variableInSaturation = false`    → "w/o variable in saturation" (s = f_c)
   *  - `confidenceFactor = false`        → "w/o confidence factor" (s = f_v · f_c)
   *  - `kmeansPlusPlus = false`          → "random centroid selection"
-  *  - `ensureSaturationIncrease = false`→ "w/o ensure saturation increase"
-  *  - `balancedGrouping = false`, `earlyStop = false`, `dedup = false`
+  *  - `earlyStop = false`, `dedup = false`
   *
   * @param stopThreshold      saturation at which a node stops splitting (1.0 = fully resolved)
-  * @param declareRatio       a position whose distinct-token count reaches this
-  *                           fraction of the node's unique logs is *declared* a
-  *                           variable (resolved) — the "likely variables" side
-  *                           of the §4.5 saturation score
-  * @param declareMinUnique   minimum unique logs before declaration applies
   * @param prefixTokens       k tokens of prefix used for initial grouping (paper default 0)
-  * @param maxIterations      refinement iterations per single clustering process
-  * @param maxClustersPerSplit cap on clusters one split may expand to
   * @param maxDepth           hard recursion cap (paper: bounded by token positions)
   * @param mergeThreshold     template similarity above which retrained templates merge (§3)
   * @param sampleMaxLogs      sampling cap to avoid OOM on huge topics (§3): a topic with
@@ -34,13 +26,7 @@ final case class ByteBrainConfig(
     variableInSaturation: Boolean = true,
     confidenceFactor: Boolean = true,
     kmeansPlusPlus: Boolean = true,
-    ensureSaturationIncrease: Boolean = true,
-    balancedGrouping: Boolean = true,
     earlyStop: Boolean = true,
-    declareRatio: Double = 0.8,
-    declareMinUnique: Int = 8,
-    maxIterations: Int = 8,
-    maxClustersPerSplit: Int = 16,
     maxDepth: Int = 32,
     mergeThreshold: Double = 0.8,
     sampleMaxLogs: Long = 5_000_000L,
@@ -49,5 +35,4 @@ final case class ByteBrainConfig(
     tokenizerRegex: String = Tokenizer.DefaultDelimiters,
 ) {
   require(stopThreshold > 0 && stopThreshold <= 1.0, "stopThreshold must be in (0, 1]")
-  require(maxClustersPerSplit >= 2, "need at least 2 clusters per split")
 }

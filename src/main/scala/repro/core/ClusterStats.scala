@@ -33,9 +33,6 @@ final class ClusterStats(val numPositions: Int) {
   /** Distinct token count n_i at position `i`. */
   def distinctAt(i: Int): Int = counts(i).size
 
-  /** Occurrence count of token hash `h` at position `i` (duplicate-weighted). */
-  def countAt(i: Int, h: Long): Long = counts(i).getOrElse(h, 0L)
-
   /** Frequency f_i of token hash `h` at position `i` (paper Eq. 2 numerator). */
   def freqAt(i: Int, h: Long): Double =
     if (totalCount == 0) 0.0 else counts(i).getOrElse(h, 0L).toDouble / totalCount

@@ -21,10 +21,10 @@ object HierarchicalClustering {
     // canonical order: Spark's groupByKey yields logs in partition order, the
     // local path in insertion order — sorting makes the seeded clustering
     // identical in both (distributed == local training, pinned by tests).
-    // The joined key alone is ambiguous when tokens contain the separator, so
-    // the token arrays break its ties element-wise.
-    val logs = unordered.sortBy(l => (l.tokens.mkString("\u0001"), ArraySeq.unsafeWrapArray(l.tokens): Seq[String]))(
-      Ordering.Tuple2(Ordering.String, Ordering.Implicits.seqOrdering[Seq, String]))
+    // Token arrays compare element-wise: a joined-string key would be
+    // ambiguous, since tokens may contain any separator.
+    val logs = unordered.sortBy(l => ArraySeq.unsafeWrapArray(l.tokens): Seq[String])(
+      Ordering.Implicits.seqOrdering[Seq, String])
     val m = groupKey.numTokens
     val rng = new Random(cfg.seed ^ groupKey.hashCode().toLong)
     val out = mutable.ArrayBuffer.empty[TemplateNode]
@@ -55,7 +55,7 @@ object HierarchicalClustering {
 
       val saturated = sat >= cfg.stopThreshold - 1e-9
       if (!saturated && nodeLogs.size > 1 && w.depth < cfg.maxDepth) {
-        SingleClustering.split(nodeLogs, stats, sat, cfg, rng, analysis.unresolved) match {
+        SingleClustering.split(nodeLogs, stats, analysis, cfg, rng) match {
           case Some(children) if children.size > 1 =>
             children.foreach { child =>
               stack.push(Work(child.map(w.logIdx), id, effSat, w.depth + 1))

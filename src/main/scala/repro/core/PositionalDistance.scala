@@ -5,9 +5,8 @@ package repro.core
   * Similarity of log L to cluster C averages, over positions, the frequency of
   * L's token at that position within C, weighted by position importance
   * w_i = 1/(n_i − 1): positions with many distinct tokens are likely variables
-  * and get low weight, constant positions dominate. We convert to a distance
-  * as 1 − similarity so "smallest distance" = "highest positional similarity",
-  * matching the paper's assignment rule.
+  * and get low weight, constant positions dominate. The paper's "smallest
+  * distance" assignment rule is "highest similarity" here (d = 1 − similarity).
   *
   * Constant positions (n_i = 1) would give w_i = ∞; they receive one large
   * uniform weight so agreement on constants dominates, and a cluster of a
@@ -37,8 +36,4 @@ object PositionalDistance {
     }
     if (den == 0.0) 0.0 else num / den
   }
-
-  /** Distance d(L, C) = 1 − similarity (smaller = more similar). */
-  def distance(hashes: Array[Long], stats: ClusterStats, cfg: ByteBrainConfig): Double =
-    1.0 - similarity(hashes, stats, cfg)
 }

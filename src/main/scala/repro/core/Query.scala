@@ -36,8 +36,4 @@ object Query {
       if (t == CommonVariables.Wildcard && acc.lastOption.contains(CommonVariables.Wildcard)) acc
       else acc :+ t
     }
-
-  /** Group matched templates by their wildcard-merged display text (§7). */
-  def displayGroups(nodes: Seq[TemplateNode]): Map[String, Seq[TemplateNode]] =
-    nodes.groupBy(n => mergeConsecutiveWildcards(n.template).mkString(" "))
 }

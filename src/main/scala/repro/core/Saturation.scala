@@ -11,12 +11,12 @@ import scala.collection.mutable
   *
   *  - a position is **constant** when all logs share one token;
   *  - a position is **declared variable** when its distinct-token count
-  *    reaches `declareRatio` of the node's *effective* unique-log count —
+  *    reaches `DeclareRatio` (0.8) of the node's *effective* unique-log count —
   *    computed iteratively: once a position is declared, unique logs are
   *    re-projected onto the remaining positions, so one truly unbounded
   *    variable (fresh value per record) cannot mask the variable nature of a
-  *    co-occurring bounded one. Declaration needs at least `declareMinUnique`
-  *    effective uniques — a handful of distinct tokens at one position is a
+  *    co-occurring bounded one. Declaration needs at least `DeclareMinUnique`
+  *    (8) effective uniques — a handful of distinct tokens at one position is a
   *    template family (Fig. 5 Set 2), not a variable;
   *  - a **single** remaining unresolved position whose tokens are all
   *    distinct *and* mostly unrepeated (average ≤ 3 occurrences per value)
@@ -44,24 +44,48 @@ import scala.collection.mutable
   */
 object Saturation {
 
-  /** Positions resolved as declared variables, via iterative projection. */
-  def declaredVariables(logs: IndexedSeq[UniqueLog], stats: ClusterStats,
-                        cfg: ByteBrainConfig): Array[Int] = {
-    val m = stats.numPositions
-    val candidates = (0 until m).filter(i => !stats.isConstant(i))
-    if (candidates.isEmpty) return Array.empty
+  private val DeclareRatio = 0.8
+  private val DeclareMinUnique = 8
 
+  /** A node's score plus the unresolved positions it was derived from —
+    * tree building scores a node and splits it on the same analysis.
+    */
+  final case class Analysis(score: Double, unresolved: Array[Int])
+
+  def analyze(logs: IndexedSeq[UniqueLog], stats: ClusterStats, cfg: ByteBrainConfig): Analysis = {
+    val m = stats.numPositions
+    if (!cfg.variableInSaturation) {
+      // ablation "w/o variable in saturation": s = f_c over strict constants
+      val u = stats.unresolvedPositions
+      Analysis(if (u.isEmpty) 1.0 else (m - u.length).toDouble / m, u)
+    } else {
+      val nonConstant = stats.unresolvedPositions
+      val declared = declaredVariables(logs, stats, nonConstant)
+      val u = nonConstant.filter(i => !declared.contains(i))
+      Analysis(formula(stats, u, cfg), u)
+    }
+  }
+
+  def score(logs: IndexedSeq[UniqueLog], stats: ClusterStats, cfg: ByteBrainConfig): Double =
+    analyze(logs, stats, cfg).score
+
+  /** Positions resolved as declared variables, via iterative projection. A
+    * position's distinct-token count does not change under projection — only
+    * the effective unique count shrinks — so `stats` supplies it.
+    */
+  private def declaredVariables(logs: IndexedSeq[UniqueLog], stats: ClusterStats,
+                                candidates: Array[Int]): mutable.BitSet = {
+    val m = stats.numPositions
     val declared = mutable.BitSet.empty
     var effUniques = stats.uniqueCount
-    var changed = true
+    var changed = candidates.nonEmpty
     var passes = 0
     while (changed && passes < m) {
       changed = false
-      // distinct counts over the projection onto undeclared positions
-      val nu = distinctPerPosition(logs, m, declared)
-      if (effUniques >= cfg.declareMinUnique) {
+      if (effUniques >= DeclareMinUnique) {
         candidates.foreach { i =>
-          if (!declared.contains(i) && nu(i) >= cfg.declareRatio * effUniques && nu(i) > 1) {
+          val nu = stats.distinctAt(i)
+          if (!declared.contains(i) && nu >= DeclareRatio * effUniques) {
             declared += i
             changed = true
           }
@@ -70,21 +94,7 @@ object Saturation {
       if (changed) effUniques = projectedUniqueCount(logs, m, declared)
       passes += 1
     }
-    declared.toArray
-  }
-
-  /** Distinct token counts per position over the unique logs (the projection
-    * ignores declared positions only for the unique-count side, so this is
-    * just the raw per-position distinct count).
-    */
-  private def distinctPerPosition(logs: IndexedSeq[UniqueLog], m: Int,
-                                  declared: mutable.BitSet): Array[Int] = {
-    val sets = Array.fill(m)(mutable.HashSet.empty[Long])
-    logs.foreach { l =>
-      var i = 0
-      while (i < m) { if (!declared.contains(i)) sets(i) += l.hashes(i); i += 1 }
-    }
-    sets.map(_.size)
+    declared
   }
 
   /** Number of distinct unique-log projections onto undeclared positions. */
@@ -106,43 +116,11 @@ object Saturation {
     seen.size
   }
 
-  /** Positions neither constant nor declared-variable. */
-  def unresolvedPositions(logs: IndexedSeq[UniqueLog], stats: ClusterStats,
-                          cfg: ByteBrainConfig): Array[Int] = {
-    val declared = declaredVariables(logs, stats, cfg).toSet
-    (0 until stats.numPositions).iterator
-      .filter(i => !stats.isConstant(i) && !declared.contains(i))
-      .toArray
-  }
-
-  /** Score plus the unresolved positions it was derived from — computed in
-    * one pass so tree building and splitting share the projection work.
+  /** The §4.5 formula given the unresolved positions (none when there are
+    * no positions or at most one unique log).
     */
-  final case class Analysis(score: Double, unresolved: Array[Int])
-
-  def analyze(logs: IndexedSeq[UniqueLog], stats: ClusterStats, cfg: ByteBrainConfig): Analysis = {
-    val u =
-      if (!cfg.variableInSaturation)
-        (0 until stats.numPositions).filter(i => !stats.isConstant(i)).toArray
-      else unresolvedPositions(logs, stats, cfg)
-    Analysis(scoreWithUnresolved(stats, u, cfg), u)
-  }
-
-  def score(logs: IndexedSeq[UniqueLog], stats: ClusterStats, cfg: ByteBrainConfig): Double =
-    analyze(logs, stats, cfg).score
-
-  /** The §4.5 formula given a precomputed unresolved-position set. */
-  def scoreWithUnresolved(stats: ClusterStats, unresolved: Array[Int],
-                          cfg: ByteBrainConfig): Double = {
+  private def formula(stats: ClusterStats, unresolved: Array[Int], cfg: ByteBrainConfig): Double = {
     val m = stats.numPositions
-    if (m == 0 || stats.uniqueCount <= 1) return 1.0
-
-    if (!cfg.variableInSaturation) {
-      // ablation "w/o variable in saturation": s = f_c over strict constants
-      return (0 until m).count(stats.isConstant).toDouble / m
-    }
-
-    val mr = m - unresolved.length
     if (unresolved.isEmpty) return 1.0
     // Fig. 5 Set 1: unresolved positions whose tokens are all-distinct and
     // essentially unrepeated are variables even below the declaration bar —
@@ -154,6 +132,7 @@ object Saturation {
     val lowRepeat = stats.totalCount <= 3L * stats.uniqueCount
     if (allDistinct && lowRepeat && (unresolved.length == 1 || stats.uniqueCount >= 4)) return 1.0
 
+    val mr = m - unresolved.length
     val fc = mr.toDouble / m
     val n = math.max(2.0, stats.totalCount.toDouble)
     var fv = Double.MaxValue
@@ -169,10 +148,5 @@ object Saturation {
       val pc = 1.0 / math.max(1.0, 2.0 * m - mr - 1.0)
       (fv * pc + (1.0 - pc)) * fc
     }
-  }
-
-  def score(logs: IndexedSeq[UniqueLog], numPositions: Int, cfg: ByteBrainConfig): Double = {
-    val s = ClusterStats.of(logs, numPositions)
-    score(logs, s, cfg)
   }
 }

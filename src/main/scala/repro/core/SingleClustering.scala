@@ -13,31 +13,33 @@ import scala.util.Random
   *   4. iterative refinement; whenever some cluster's saturation fails to
   *      improve on the parent's, a new cluster is seeded with the log farthest
   *      from all existing clusters — naturally bounded by the token positions
-  *      (we additionally cap at `maxClustersPerSplit`).
+  *      (we additionally cap at `MaxClustersPerSplit`).
   *
   * Returns the partition of log indices, or `None` when the node should stay a
   * leaf (no meaningful split exists).
   */
 object SingleClustering {
 
+  /** Refinement iterations per single clustering process. */
+  private val MaxIterations = 8
+
+  /** Cap on the clusters one split may expand to. */
+  private val MaxClustersPerSplit = 16
+
   def split(
       logs: IndexedSeq[UniqueLog],
       parentStats: ClusterStats,
-      parentSaturation: Double,
+      parent: Saturation.Analysis,
       cfg: ByteBrainConfig,
       rng: Random,
-      unresolvedIn: Array[Int] = null,
   ): Option[Vector[Vector[Int]]] = {
     val n = logs.size
     val m = parentStats.numPositions
     if (n <= 1) return None
 
     // declared-variable positions are resolved (§4.5) — they carry no
-    // structure, so neither early stop nor clustering should key on them;
-    // the tree builder passes its own analysis in to avoid recomputation
-    val unresolved =
-      if (unresolvedIn != null) unresolvedIn
-      else Saturation.unresolvedPositions(logs, parentStats, cfg)
+    // structure, so neither early stop nor clustering should key on them
+    val unresolved = parent.unresolved
 
     if (cfg.earlyStop) {
       // (1) Few logs: each unique log naturally forms its own cluster.
@@ -95,19 +97,19 @@ object SingleClustering {
     // --- refinement --------------------------------------------------------
     var iter = 0
     var changed = true
-    while (iter < cfg.maxIterations && changed) {
+    while (iter < MaxIterations && changed) {
       changed = assignAll(logs, assignment, statsByCluster, fixed = Set.empty, cfg, rng)
       statsByCluster = rebuildStats(logs, assignment, k, m)
 
       // once assignments converge, expand if some non-trivial cluster shows
       // no saturation improvement over the parent (checking only at
       // convergence keeps the cost of saturation evaluation off the hot loop)
-      if (!changed && cfg.ensureSaturationIncrease && k < math.min(cfg.maxClustersPerSplit, n)) {
+      if (!changed && k < math.min(MaxClustersPerSplit, n)) {
         val members = Array.fill(k)(Vector.newBuilder[UniqueLog])
         logs.indices.foreach(i => if (assignment(i) >= 0) members(assignment(i)) += logs(i))
         val stuck = statsByCluster.zipWithIndex.exists { case (s, c) =>
           s.uniqueCount > 1 &&
-            Saturation.score(members(c).result(), s, cfg) <= parentSaturation + 1e-12
+            Saturation.score(members(c).result(), s, cfg) <= parent.score + 1e-12
         }
         if (stuck) {
           val seedIdx = farthestFromAll(logs, statsByCluster, cfg)
@@ -129,41 +131,39 @@ object SingleClustering {
     // into its most similar other cluster iff that cluster's saturation does
     // not decrease: genuine distinct statements (Fig. 5 Set 2 log [5]) would
     // lower the target's saturation and therefore stay separate.
-    if (cfg.balancedGrouping) {
-      var passes = 0
-      var moved = true
-      while (moved && passes < 4) {
-        moved = false
-        statsByCluster = rebuildStats(logs, assignment, k, m)
-        val members = Array.fill(k)(Vector.newBuilder[UniqueLog])
-        logs.indices.foreach(i => if (assignment(i) >= 0) members(assignment(i)) += logs(i))
-        val memberLists = members.map(_.result())
-        logs.indices.foreach { i =>
-          val own = assignment(i)
-          if (own >= 0 && statsByCluster(own).uniqueCount <= 2) {
-            var best = -1
-            var bestSim = -1.0
-            var c = 0
-            while (c < k) {
-              if (c != own && statsByCluster(c).uniqueCount > 0) {
-                val s = PositionalDistance.similarity(logs(i).hashes, statsByCluster(c), cfg)
-                if (s > bestSim) { bestSim = s; best = c }
-              }
-              c += 1
+    var passes = 0
+    var moved = true
+    while (moved && passes < 4) {
+      moved = false
+      statsByCluster = rebuildStats(logs, assignment, k, m)
+      val members = Array.fill(k)(Vector.newBuilder[UniqueLog])
+      logs.indices.foreach(i => if (assignment(i) >= 0) members(assignment(i)) += logs(i))
+      val memberLists = members.map(_.result())
+      logs.indices.foreach { i =>
+        val own = assignment(i)
+        if (own >= 0 && statsByCluster(own).uniqueCount <= 2) {
+          var best = -1
+          var bestSim = -1.0
+          var c = 0
+          while (c < k) {
+            if (c != own && statsByCluster(c).uniqueCount > 0) {
+              val s = PositionalDistance.similarity(logs(i).hashes, statsByCluster(c), cfg)
+              if (s > bestSim) { bestSim = s; best = c }
             }
-            if (best >= 0) {
-              val before = Saturation.score(memberLists(best), statsByCluster(best), cfg)
-              val withLog = memberLists(best) :+ logs(i)
-              val after = Saturation.score(withLog, ClusterStats.of(withLog, m), cfg)
-              if (after >= before - 1e-12) {
-                assignment(i) = best
-                moved = true
-              }
+            c += 1
+          }
+          if (best >= 0) {
+            val before = Saturation.score(memberLists(best), statsByCluster(best), cfg)
+            val withLog = memberLists(best) :+ logs(i)
+            val after = Saturation.score(withLog, ClusterStats.of(withLog, m), cfg)
+            if (after >= before - 1e-12) {
+              assignment(i) = best
+              moved = true
             }
           }
         }
-        passes += 1
       }
+      passes += 1
     }
 
     val groups = logs.indices.groupBy(assignment).values
@@ -200,7 +200,7 @@ object SingleClustering {
         }
         val pick =
           if (ties.isEmpty) assignment(i)
-          else if (ties.length == 1 || !cfg.balancedGrouping) ties.head
+          else if (ties.length == 1) ties.head
           else ties(rng.nextInt(ties.length))
         if (pick != assignment(i)) { assignment(i) = pick; changed = true }
       }

@@ -29,13 +29,9 @@ class ByteBrainLocalSpec extends AnyFunSuite {
 
   test("parseLocal groups a clean 3-template corpus perfectly at threshold 0.9") {
     val (lines, truth) = corpus(600)
-    val (_, matched) = ByteBrain.parseLocal(lines, cfg)
-    val model = ByteBrain.trainLocal(lines, cfg)
+    val (model, matched) = ByteBrain.parseLocal(lines, cfg)
     val resolved = matched.map(id => Query.resolve(model, id, 0.9).id).toIndexedSeq
-    val _ = resolved // grouping computed on the same model instance below
-    val (m2, matched2) = ByteBrain.parseLocal(lines, cfg)
-    val res2 = matched2.map(id => Query.resolve(m2, id, 0.9).id).toIndexedSeq
-    assert(GroupingAccuracy.compute(res2, truth) == 1.0)
+    assert(GroupingAccuracy.compute(resolved, truth) == 1.0)
   }
 
   test("every log matches some template after training on itself") {
@@ -83,13 +79,6 @@ class ByteBrainLocalSpec extends AnyFunSuite {
     val model = ByteBrain.trainLocal(lines, c)
     val prefixes = model.nodes.map(_.groupKey.prefix).toSet
     assert(prefixes == Set(Seq("alpha"), Seq("beta")))
-  }
-
-  test("sampleMaxLogs caps training input (OOM guard, §3)") {
-    val (lines, _) = corpus(500)
-    val c = cfg.copy(sampleMaxLogs = 100)
-    val model = ByteBrain.trainLocal(lines, c)
-    assert(model.nodes.filter(_.isRoot).map(_.count).sum <= 100)
   }
 
   test("sampling keeps exactly sampleMaxLogs lines and every template, for any seed") {
@@ -142,6 +131,5 @@ class ByteBrainLocalSpec extends AnyFunSuite {
   test("config validation rejects bad thresholds") {
     assertThrows[IllegalArgumentException](ByteBrainConfig(stopThreshold = 0.0))
     assertThrows[IllegalArgumentException](ByteBrainConfig(stopThreshold = 1.5))
-    assertThrows[IllegalArgumentException](ByteBrainConfig(maxClustersPerSplit = 1))
   }
 }

@@ -47,9 +47,4 @@ class ClusterStatsSpec extends AnyFunSuite {
     assert(s.uniqueCount == 0)
     assert((0 until 3).forall(s.isConstant)) // vacuously constant
   }
-
-  test("countAt reflects duplicate weights") {
-    val s = ClusterStats.of(Seq(log(5, "t")), 1)
-    assert(s.countAt(0, HashEncoder.hash64("t")) == 5)
-  }
 }

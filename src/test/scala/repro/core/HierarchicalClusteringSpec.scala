@@ -1,5 +1,9 @@
 package repro.core
 
+import scala.util.Random
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
 class HierarchicalClusteringSpec extends AnyFunSuite {
@@ -105,15 +109,23 @@ class HierarchicalClusteringSpec extends AnyFunSuite {
   }
 
   test("log order is total: tokens whose joined key collides still give one tree") {
-    val sep = "\u0001"
-    val logs = Vector(
-      UniqueLog(Array(s"a${sep}b", "c", "x"), 3), UniqueLog(Array("a", s"b${sep}c", "x"), 2),
-      UniqueLog(Array(s"a${sep}b", "c", "y"), 1), UniqueLog(Array("a", s"b${sep}c", "y"), 4),
-      UniqueLog(Array("d", "e", "x"), 1))
-    val key = GroupKey(3, Nil)
-    val expected = HierarchicalClustering.buildGroupTree(key, logs, cfg)
-    logs.permutations.foreach { p =>
-      assert(HierarchicalClustering.buildGroupTree(key, p, cfg) == expected)
+    // control characters, separator-bearing tokens and prefix pairs (a/ab),
+    // so joined-string keys collide and element-wise order is what decides
+    val alphabet = Seq("a", "ab", "b", "x", "\u0000", "\u0001", "a\u0000", "a\u0001", "\u0001b")
+    val groups = for {
+      m <- Gen.choose(1, 4)
+      rows <- Gen.choose(1, 12).flatMap(n => Gen.listOfN(n, Gen.listOfN(m, Gen.oneOf(alphabet))))
+      counts <- Gen.listOfN(rows.size, Gen.choose(1L, 5L))
+      seed <- Gen.long
+    } yield (m, rows.distinct.zip(counts).map { case (t, c) => UniqueLog(t.toArray, c) }.toVector, seed)
+    val prop = Prop.forAll(groups) { case (m, logs, seed) =>
+      val key = GroupKey(m, Nil)
+      val expected = HierarchicalClustering.buildGroupTree(key, logs, cfg)
+      Seq(logs.reverse, new Random(seed).shuffle(logs))
+        .forall(p => HierarchicalClustering.buildGroupTree(key, p, cfg) == expected)
     }
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(Seed(11L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result)
   }
 }

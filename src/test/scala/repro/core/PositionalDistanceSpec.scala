@@ -18,13 +18,6 @@ class PositionalDistanceSpec extends AnyFunSuite {
     assert(PositionalDistance.similarity(log("x", "y").hashes, stats, cfg) == 0.0)
   }
 
-  test("distance = 1 - similarity") {
-    val stats = ClusterStats.of(Seq(log("a", "b")), 2)
-    val l = log("a", "z")
-    assert(PositionalDistance.distance(l.hashes, stats, cfg) ==
-      1.0 - PositionalDistance.similarity(l.hashes, stats, cfg))
-  }
-
   test("Fig 5 Set 2: log 6 is closer to cluster {4} than to cluster {5}") {
     val l4 = log("UserService", "createUser", "token", "abc123", "success")
     val l5 = log("UserService", "deleteUser", "token", "xyz789", "failed")

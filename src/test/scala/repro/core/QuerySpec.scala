@@ -61,14 +61,4 @@ class QuerySpec extends AnyFunSuite {
   test("mergeConsecutiveWildcards on no-wildcard template is identity") {
     assert(Query.mergeConsecutiveWildcards(Seq("a", "b")) == Seq("a", "b"))
   }
-
-  test("displayGroups unifies variable-length list templates (§7)") {
-    val t1 = node(10, -1, Seq("users", W), 1.0, 0)
-    val t2 = node(11, -1, Seq("users", W, W), 1.0, 0)
-    val t3 = node(12, -1, Seq("users", W, W, W), 1.0, 0)
-    val groups = Query.displayGroups(Seq(t1, t2, t3))
-    assert(groups.size == 1)
-    assert(groups.keySet == Set(s"users $W"))
-    assert(groups.head._2.size == 3)
-  }
 }

@@ -11,8 +11,7 @@ class SingleClusteringSpec extends AnyFunSuite {
 
   private def split(ls: IndexedSeq[UniqueLog], c: ByteBrainConfig = cfg, seed: Long = 1) = {
     val stats = ClusterStats.of(ls, ls.head.numTokens)
-    val sat = Saturation.score(ls, stats, c)
-    SingleClustering.split(ls, stats, sat, c, new Random(seed))
+    SingleClustering.split(ls, stats, Saturation.analyze(ls, stats, c), c, new Random(seed))
   }
 
   test("single log: no split") {
@@ -25,14 +24,16 @@ class SingleClusteringSpec extends AnyFunSuite {
   }
 
   test("early stop (2): single unresolved position splits by its token") {
-    val r = split(logs("svc start ok", "svc stop ok", "svc start ok2")).get
-    // wait: two unresolved positions here — use a cleaner case below
-    assert(r.nonEmpty)
+    // position 2 is a declared variable, so position 1 is the only unresolved one
+    val ls = (0 until 20).map(i => UniqueLog(Array("svc", if (i % 2 == 0) "start" else "stop", s"v$i", "ok"), 5))
+    val stats = ClusterStats.of(ls, 4)
+    assert(Saturation.analyze(ls, stats, cfg).unresolved.toSeq == Seq(1))
+    val evens = ls.indices.filter(_ % 2 == 0).toVector
+    val odds = ls.indices.filter(_ % 2 == 1).toVector
+    assert(split(ls).contains(Vector(evens, odds)))
   }
 
   test("single unresolved position partitions by token value") {
-    val ls = logs("svc start ok", "svc stop ok", "svc pause ok",
-      "svc start ok", "svc stop ok").distinct
     val base = IndexedSeq(
       UniqueLog(Array("svc", "start", "ok"), 5),
       UniqueLog(Array("svc", "stop", "ok"), 4),
@@ -41,7 +42,6 @@ class SingleClusteringSpec extends AnyFunSuite {
     val r = split(base).get
     assert(r.size == 3)
     assert(r.forall(_.size == 1))
-    val _ = ls
   }
 
   test("early stop (3): all-distinct unresolved positions with heavy repeats → singleton clusters") {
