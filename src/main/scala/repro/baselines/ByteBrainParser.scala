@@ -25,8 +25,9 @@ final class ByteBrainParser(
     // (input.tokens is untouched, so only ByteBrain's own preprocessing of
     // the uniques is on the clock — that IS the §4.1.3 dedup advantage)
     val (model, matched) = ByteBrain.parseLocal(input.lines.toIndexedSeq, cfg, parallelism)
-    // resolve once per distinct matched id, not per log
-    val resolved = matched.distinct.map(id => id -> Query.resolve(model, id, threshold).id).toMap
+    // resolve once per distinct matched id, not per log; −1 (no tokens) stays −1
+    val resolved = matched.distinct
+      .map(id => id -> (if (id < 0) -1 else Query.resolve(model, id, threshold).id)).toMap
     matched.map(resolved)
   }
 }

@@ -129,16 +129,24 @@ object ByteBrain {
 
   /** Query-time precision adjustment over a matched DataFrame: map each
     * matched template id to the coarsest ancestor meeting `threshold` (§3
-    * "Query") using the broadcast parent chain.
+    * "Query") and its §7 display text. Every model node is resolved once on
+    * the driver; tasks get the broadcast id → (query id, text) table.
     */
   def queryDf(spark: SparkSession, model: TemplateModel, matched: DataFrame,
               threshold: Double): DataFrame = {
-    val bc = spark.sparkContext.broadcast(model)
+    val ix = model.resolveIndex
+    val rows = ix.node.map { n =>
+      val q = Query.resolve(model, n.id, threshold)
+      (q.id, Query.mergeConsecutiveWildcards(q.template).mkString(" "))
+    }
+    val bc = spark.sparkContext.broadcast((ix.position, rows))
     val resolveUdf = udf { (id: Int) =>
       if (id < 0) (-1, null: String)
       else {
-        val n = Query.resolve(bc.value, id, threshold)
-        (n.id, Query.mergeConsecutiveWildcards(n.template).mkString(" "))
+        val (position, rows) = bc.value
+        val p = position(id)
+        if (p < 0) throw new NoSuchElementException(s"no template node with id $id")
+        rows(p)
       }
     }
     matched.withColumn("_q", resolveUdf(col("template_id")))

@@ -14,8 +14,20 @@ object Query {
     * most precise template available).
     */
   def resolve(model: TemplateModel, nodeId: Int, threshold: Double): TemplateNode = {
-    val chain = model.ancestry(nodeId) // root .. node
-    chain.find(_.effectiveSaturation >= threshold - 1e-9).getOrElse(chain.last)
+    val ix = model.resolveIndex
+    val start = ix.position(nodeId)
+    if (start < 0) throw new NoSuchElementException(s"no template node with id $nodeId")
+    val min = threshold - 1e-9
+    // walking up from the node, the last qualifying node seen is the coarsest
+    var best = start
+    var p = start
+    var steps = 0
+    while (p >= 0) {
+      if (ix.saturation(p) >= min) best = p
+      steps += 1
+      p = ix.up(p, steps)
+    }
+    ix.node(best)
   }
 
   /** Distinct display templates for a set of matched ids at a threshold,

@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import scala.util.Random
 
 /** The single clustering process applied at each tree node (paper §4.4, §4.6, §4.7).
@@ -91,14 +90,14 @@ object SingleClustering {
     var statsByCluster = rebuildStats(logs, assignment, k, m)
 
     // initial assignment of the remaining logs
-    assignAll(logs, assignment, statsByCluster, fixed = Set(first, second), cfg, rng)
+    assignAll(logs, assignment, statsByCluster, first, second, cfg, rng)
     statsByCluster = rebuildStats(logs, assignment, k, m)
 
     // --- refinement --------------------------------------------------------
     var iter = 0
     var changed = true
     while (iter < MaxIterations && changed) {
-      changed = assignAll(logs, assignment, statsByCluster, fixed = Set.empty, cfg, rng)
+      changed = assignAll(logs, assignment, statsByCluster, -1, -1, cfg, rng)
       statsByCluster = rebuildStats(logs, assignment, k, m)
 
       // once assignments converge, expand if some non-trivial cluster shows
@@ -171,37 +170,39 @@ object SingleClustering {
     if (groups.size <= 1) None else Some(groups)
   }
 
-  /** Assign every non-fixed log to its most similar cluster; balanced grouping
-    * breaks exact ties uniformly at random (§4.6). Returns whether anything moved.
+  /** Assign every log but the seeds `seedA` and `seedB` (−1 for none) to its
+    * most similar cluster; balanced grouping breaks exact ties uniformly at
+    * random (§4.6). Returns whether anything moved.
     */
   private def assignAll(
       logs: IndexedSeq[UniqueLog],
       assignment: Array[Int],
       stats: Array[ClusterStats],
-      fixed: Set[Int],
+      seedA: Int,
+      seedB: Int,
       cfg: ByteBrainConfig,
       rng: Random,
   ): Boolean = {
     var changed = false
-    val ties = new mutable.ArrayBuffer[Int](stats.length)
+    val ties = new Array[Int](stats.length)
     var i = 0
     while (i < logs.length) {
-      if (!fixed.contains(i)) {
+      if (i != seedA && i != seedB) {
         var bestSim = -1.0
-        ties.clear()
+        var numTies = 0
         var c = 0
         while (c < stats.length) {
           if (stats(c).uniqueCount > 0) {
             val s = PositionalDistance.similarity(logs(i).hashes, stats(c), cfg)
-            if (s > bestSim + 1e-12) { bestSim = s; ties.clear(); ties += c }
-            else if (math.abs(s - bestSim) <= 1e-12) ties += c
+            if (s > bestSim + 1e-12) { bestSim = s; ties(0) = c; numTies = 1 }
+            else if (math.abs(s - bestSim) <= 1e-12) { ties(numTies) = c; numTies += 1 }
           }
           c += 1
         }
         val pick =
-          if (ties.isEmpty) assignment(i)
-          else if (ties.length == 1) ties.head
-          else ties(rng.nextInt(ties.length))
+          if (numTies == 0) assignment(i)
+          else if (numTies == 1) ties(0)
+          else ties(rng.nextInt(numTies))
         if (pick != assignment(i)) { assignment(i) = pick; changed = true }
       }
       i += 1

@@ -70,16 +70,24 @@ final class TemplateModel(val nodes: IndexedSeq[TemplateNode]) extends Serializa
         n.template.count(_ == CommonVariables.Wildcard), -n.depth, n.id))
     }
 
-  def parentOf(n: TemplateNode): Option[TemplateNode] =
-    if (n.isRoot) None else byId.get(n.parentId)
+  /** Query's resolution index, built on the first query or ancestry call
+    * (training, [[Merge]] and [[ModelCodec]] never pay for it) and never
+    * serialized.
+    */
+  @transient private[core] lazy val resolveIndex: ResolveIndex = new ResolveIndex(nodes)
 
-  /** Ancestor chain of a node, ordered root first, the node itself last. */
+  /** Ancestor chain of a node, ordered root first, the node itself last;
+    * empty for an unknown id.
+    */
   def ancestry(id: Int): List[TemplateNode] = {
-    var cur = byId.get(id)
+    val ix = resolveIndex
+    var p = ix.position(id)
     var acc = List.empty[TemplateNode]
-    while (cur.isDefined) {
-      acc = cur.get :: acc // prepending while walking up yields root..node
-      cur = parentOf(cur.get)
+    var steps = 0
+    while (p >= 0) {
+      acc = ix.node(p) :: acc // prepending while walking up yields root..node
+      steps += 1
+      p = ix.up(p, steps)
     }
     acc
   }
@@ -96,4 +104,58 @@ final class TemplateModel(val nodes: IndexedSeq[TemplateNode]) extends Serializa
 
 object TemplateModel {
   val empty: TemplateModel = new TemplateModel(Vector.empty)
+}
+
+/** Open-addressing `id → position` table over distinct ids, sized by their
+  * count rather than by the largest id: a model file may carry any `Int` id,
+  * negative ones included. Absent ids map to −1.
+  */
+private[core] final class IdPositions(ids: Array[Int]) extends Serializable {
+  private val mask: Int = {
+    var cap = 2
+    while (cap < 2 * ids.length) cap <<= 1 // load ≤ 1/2: every probe run ends at a free slot
+    cap - 1
+  }
+  private val keys = new Array[Int](mask + 1)
+  private val positions = Array.fill(mask + 1)(-1)
+
+  ids.indices.foreach { p =>
+    var s = slot(ids(p))
+    while (positions(s) >= 0) s = (s + 1) & mask
+    keys(s) = ids(p)
+    positions(s) = p
+  }
+
+  private def slot(id: Int): Int = {
+    val h = id * 0x9E3779B9
+    (h ^ (h >>> 16)) & mask
+  }
+
+  def apply(id: Int): Int = {
+    var s = slot(id)
+    while (positions(s) >= 0 && keys(s) != id) s = (s + 1) & mask
+    positions(s)
+  }
+}
+
+/** A model's nodes as flat arrays for walking parent chains: each node's
+  * position by id, its parent's position (−1 for a root or a parent id absent
+  * from the model) and its effective saturation.
+  */
+private[core] final class ResolveIndex(nodes: IndexedSeq[TemplateNode]) {
+  val node: Array[TemplateNode] = nodes.toArray
+  val position: IdPositions = new IdPositions(node.map(_.id))
+  val parent: Array[Int] = node.map(n => if (n.isRoot) -1 else position(n.parentId))
+  val saturation: Array[Double] = node.map(_.effectiveSaturation)
+
+  /** Parent position of the node at `pos`, `steps` nodes into a walk up the
+    * tree. A chain has at most one node per model node, so a longer walk
+    * means the parent links form a cycle (a corrupted model).
+    */
+  def up(pos: Int, steps: Int): Int = {
+    val p = parent(pos)
+    if (p >= 0 && steps >= node.length)
+      throw new IllegalStateException(s"parent cycle through template node id ${node(pos).id}")
+    p
+  }
 }

@@ -136,6 +136,13 @@ class BaselineSpec extends AnyFunSuite {
     assert(m.parse(simple).length == 1)
   }
 
+  test("ByteBrain keeps token-less lines at group -1") {
+    val mixed = IndexedSeq("job 1 ok", "", "job 2 ok", "   ", "job 3 ok")
+    val pred = new ByteBrainParser().parse(ParseInput(mixed, mixed.map(_.split(" ")), None))
+    assert(pred(1) == -1 && pred(3) == -1)
+    assert(Seq(pred(0), pred(2), pred(4)).forall(_ >= 0))
+  }
+
   test("baselines tolerate an empty corpus") {
     val empty = ParseInput(IndexedSeq.empty, IndexedSeq.empty, None)
     Seq(new Drain, new Spell, new AEL, new IPLoM, new SLCT, new LFA, new Logram,

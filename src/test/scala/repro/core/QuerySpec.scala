@@ -1,5 +1,10 @@
 package repro.core
 
+import scala.util.Random
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
 class QuerySpec extends AnyFunSuite {
@@ -38,6 +43,76 @@ class QuerySpec extends AnyFunSuite {
   test("threshold above every saturation returns the matched node") {
     val m = new TemplateModel(Vector(node(0, -1, Seq("x", W), 0.4, 0)))
     assert(Query.resolve(m, 0, 0.99).id == 0)
+  }
+
+  /** The chain as a `List`, root first, by `byId` lookups, and the coarsest
+    * node on it meeting the threshold: resolve's definition.
+    */
+  private def referenceChain(m: TemplateModel, id: Int): List[TemplateNode] = {
+    var cur = m.byId.get(id)
+    var acc = List.empty[TemplateNode]
+    while (cur.isDefined) {
+      acc = cur.get :: acc
+      cur = if (cur.get.isRoot) None else m.byId.get(cur.get.parentId)
+    }
+    acc
+  }
+
+  private def reference(m: TemplateModel, id: Int, threshold: Double): TemplateNode = {
+    val chain = referenceChain(m, id)
+    chain.find(_.effectiveSaturation >= threshold - 1e-9).getOrElse(chain.last)
+  }
+
+  test("resolve and ancestry equal the List reference on random forests") {
+    val ids = Gen.frequency(
+      4 -> Gen.choose(-3, 40),
+      2 -> Gen.choose(Int.MinValue, Int.MaxValue),
+      1 -> Gen.oneOf(Int.MaxValue, Int.MinValue, Int.MaxValue - 1, -1))
+    val sats = Gen.frequency(3 -> Gen.oneOf(0.0, 0.3, 0.5, 0.9, 1.0), 2 -> Gen.choose(0.0, 1.0))
+    val forests = for {
+      n <- Gen.choose(1, 14)
+      nodeIds <- Gen.listOfN(n, ids).map(_.distinct)
+      // parent of node i: a root marker, an id that names no node
+      // (dangling) or an earlier node, so the links form no cycle
+      dangling = List(0, 7, 41, 1000003, Int.MaxValue - 1, Int.MaxValue).filterNot(nodeIds.contains)
+      parents <- Gen.sequence[List[Int], Int](nodeIds.indices.map { i =>
+        Gen.frequency(List(2 -> Gen.oneOf(-1, -7, Int.MinValue)) ++
+          (if (dangling.isEmpty) Nil else List(1 -> Gen.oneOf(dangling))) ++
+          (if (i == 0) Nil else List(3 -> Gen.oneOf(nodeIds.take(i)))): _*)
+      })
+      nodeSats <- Gen.listOfN(nodeIds.size, sats)
+      seed <- Gen.long
+    } yield new TemplateModel(new Random(seed).shuffle(nodeIds.indices.toVector).map { i =>
+      TemplateNode(nodeIds(i), parents(i), GroupKey(1, Nil), Vector("t"), nodeSats(i), nodeSats(i), 0, 1)
+    })
+    val prop = Prop.forAll(forests) { m =>
+      val thresholds = m.nodes.flatMap(n => Seq(-1e-9, 0.0, 1e-9).map(n.effectiveSaturation + _)) ++ Seq(0.0, 1.5)
+      m.nodes.forall { n =>
+        m.ancestry(n.id) == referenceChain(m, n.id) &&
+          thresholds.forall(th => Query.resolve(m, n.id, th) eq reference(m, n.id, th))
+      } :| m.nodes.mkString("\n")
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(Seed(6L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status.toString)
+  }
+
+  test("resolving an unknown id throws NoSuchElementException naming the id") {
+    val e = intercept[NoSuchElementException](Query.resolve(model, 42, 0.5))
+    assert(e.getMessage.contains("42"))
+    assert(model.ancestry(42).isEmpty)
+  }
+
+  test("a parent cycle makes resolve and ancestry fail instead of looping") {
+    val cyclic = new TemplateModel(Vector(
+      node(0, 1, Seq("a", W), 0.5, 1),
+      node(1, 0, Seq(W, W), 0.2, 0),
+      node(2, -1, Seq("b", "c"), 1.0, 0)))
+    Seq(0, 1).foreach { id =>
+      assertThrows[IllegalStateException](Query.resolve(cyclic, id, 0.9))
+      assertThrows[IllegalStateException](cyclic.ancestry(id))
+    }
+    assert(Query.resolve(cyclic, 2, 0.9).id == 2)
   }
 
   test("templatesAt dedups and orders by count") {

@@ -89,10 +89,8 @@ class TrainerSparkSpec extends SparkSpec {
   test("GA via Spark aggregation equals the local GA and the DuckDB oracle") {
     val model = Trainer.train(spark, logsDf, cfg)
     val matched = ByteBrain.matchDf(spark, model, logsDf, cfg)
-    val bc = spark.sparkContext.broadcast(model)
-    val resolveUdf = udf((id: Int) => Query.resolve(bc.value, id, 0.9).id)
-    val assignments = matched
-      .select(resolveUdf($"template_id").as("pred"), $"truth_id".as("truth"))
+    val assignments = ByteBrain.queryDf(spark, model, matched, 0.9)
+      .select($"query_template_id".as("pred"), $"truth_id".as("truth"))
       .cache()
 
     // Spark GA == local GA
@@ -123,10 +121,8 @@ class TrainerSparkSpec extends SparkSpec {
   test("distributed GA on HDFS-lite reaches the paper's band") {
     val model = Trainer.train(spark, logsDf, cfg)
     val matched = ByteBrain.matchDf(spark, model, logsDf, cfg)
-    val bc = spark.sparkContext.broadcast(model)
-    val resolveUdf = udf((id: Int) => Query.resolve(bc.value, id, 0.9).id)
-    val assignments = matched
-      .select(resolveUdf($"template_id").as("pred"), $"truth_id".as("truth"))
+    val assignments = ByteBrain.queryDf(spark, model, matched, 0.9)
+      .select($"query_template_id".as("pred"), $"truth_id".as("truth"))
     val ga = GroupingAccuracy.computeDf(spark, assignments)
     assert(ga > 0.85, f"GA=$ga%.3f")
   }
@@ -140,6 +136,28 @@ class TrainerSparkSpec extends SparkSpec {
     val nFine = fine.select(countDistinct($"query_template_id")).head().getLong(0)
     assert(nCoarse <= nFine)
     assert(nCoarse > 0)
+  }
+
+  test("queryDf equals Query.resolve and the merged display text row by row") {
+    val model = Trainer.train(spark, logsDf, cfg)
+    // token-less and novel-length lines match no template (−1)
+    val lines = ds.lines.take(3000) ++ Seq("", "   ", null, Seq.fill(60)("novel").mkString(" "))
+    val matched = ByteBrain.matchDf(spark, model, lines.toDF("message"), cfg).cache()
+    Seq(0.1, 0.5, 0.9, 1.0).foreach { th =>
+      val rows = ByteBrain.queryDf(spark, model, matched, th)
+        .select($"template_id", $"query_template_id", $"query_template").collect()
+      assert(rows.length == lines.length)
+      assert(rows.count(_.getInt(0) < 0) == 4)
+      rows.foreach { r =>
+        val (id, qid, text) = (r.getInt(0), r.getInt(1), r.getString(2))
+        if (id < 0) assert(qid == -1 && text == null)
+        else {
+          val q = Query.resolve(model, id, th)
+          assert(qid == q.id, s"θ=$th id=$id")
+          assert(text == Query.mergeConsecutiveWildcards(q.template).mkString(" "), s"θ=$th id=$id")
+        }
+      }
+    }
   }
 
   test("sampling caps the trained volume on oversized topics (§3)") {
