@@ -17,6 +17,10 @@ package repro.core
   * @param mergeThreshold     template similarity above which retrained templates merge (§3)
   * @param sampleMaxLogs      sampling cap to avoid OOM on huge topics (§3): a topic with
   *                           more lines trains on exactly this many (see [[Trainer]])
+  * @param variablePatterns   (name, regex) common-variable patterns (§4.1.2); each must
+  *                           compile and use no look-around or backreference
+  *                           ([[Tokenizer.hasForbiddenConstruct]]), checked here
+  *                           rather than on the first line an executor replaces
   */
 final case class ByteBrainConfig(
     stopThreshold: Double = 1.0,
@@ -35,4 +39,8 @@ final case class ByteBrainConfig(
     tokenizerRegex: String = Tokenizer.DefaultDelimiters,
 ) {
   require(stopThreshold > 0 && stopThreshold <= 1.0, "stopThreshold must be in (0, 1]")
+  for ((name, p) <- variablePatterns)
+    require(!Tokenizer.hasForbiddenConstruct(p),
+      s"look-around/backreference constructs are not allowed in variable pattern $name: $p")
+  CommonVariables.compiled(variablePatterns)
 }

@@ -1,5 +1,8 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentHashMap
+import java.util.regex.{Pattern, PatternSyntaxException}
+
 /** Common variable replacement (paper §4.1.2).
   *
   * Before clustering, obviously-variable fields (timestamps, IPs, hashes,
@@ -25,7 +28,36 @@ object CommonVariables {
     "hex-long"      -> raw"\b0x[0-9a-fA-F]+\b",
   )
 
-  /** Replace all default patterns in one raw message (driver/executor local). */
+  /** Replace every pattern, in list order, in one raw message. The same as
+    * `patterns.foldLeft(message)(_.replaceAll(_, Wildcard))`, which is how the
+    * JDK defines `String.replaceAll`, but each list is compiled only once.
+    */
   def replace(message: String, patterns: Seq[(String, String)] = defaultPatterns): String =
-    patterns.foldLeft(message) { case (m, (_, p)) => m.replaceAll(p, Wildcard) }
+    compiled(patterns).foldLeft(message)((m, p) => p.matcher(m).replaceAll(Wildcard))
+
+  /** The compiled patterns of one list, memoized per distinct list (a
+    * topic's config holds one; executors see the same few). A pattern that
+    * does not compile is an `IllegalArgumentException` naming it.
+    */
+  private[core] def compiled(patterns: Seq[(String, String)]): Array[Pattern] = {
+    val ps = memo.get(patterns)
+    if (ps != null) ps
+    else {
+      if (memo.size >= MemoCapacity) memo.clear()
+      memo.computeIfAbsent(patterns, _ => compile(patterns))
+    }
+  }
+
+  private def compile(patterns: Seq[(String, String)]): Array[Pattern] =
+    patterns.iterator.map { case (name, p) =>
+      try Pattern.compile(p)
+      catch {
+        case e: PatternSyntaxException =>
+          throw new IllegalArgumentException(s"variable pattern $name does not compile: $p", e)
+      }
+    }.toArray
+
+  /** Distinct pattern lists kept compiled; past this the memo starts over. */
+  private val MemoCapacity = 64
+  private val memo = new ConcurrentHashMap[Seq[(String, String)], Array[Pattern]]()
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** Text-based online matching (paper §4.8).
@@ -13,11 +14,14 @@ import scala.collection.mutable
   */
 final class CompiledMatcher(val model: TemplateModel) extends Serializable {
 
-  /** (length → exact-template lookup) for wildcard-free templates. */
-  private val exactByLength: Map[Int, Map[List[String], TemplateNode]] =
+  /** (length → exact-template lookup) for wildcard-free templates, keyed by
+    * structural `Seq` equality so a log's token array is looked up wrapped,
+    * not copied.
+    */
+  private val exactByLength: Map[Int, Map[Seq[String], TemplateNode]] =
     model.byLength.map { case (len, ns) =>
       len -> ns.filter(!_.template.contains(CommonVariables.Wildcard))
-        .map(n => n.template.toList -> n)
+        .map(n => (n.template: Seq[String]) -> n)
         .reverse // earlier (higher-priority) nodes win the map build
         .toMap
     }
@@ -31,7 +35,7 @@ final class CompiledMatcher(val model: TemplateModel) extends Serializable {
   /** Match one tokenized log; `None` when no trained template fits. */
   def matchTokens(tokens: Array[String]): Option[TemplateNode] = {
     val len = tokens.length
-    exactByLength.get(len).flatMap(_.get(tokens.toList)) match {
+    exactByLength.get(len).flatMap(_.get(ArraySeq.unsafeWrapArray(tokens))) match {
       case some @ Some(_) => some
       case None =>
         wildcardByLength.get(len) match {
@@ -54,33 +58,32 @@ final class CompiledMatcher(val model: TemplateModel) extends Serializable {
   */
 final class OnlineMatcher(initial: TemplateModel) {
   private var compiled = new CompiledMatcher(initial)
-  private val temporaries = mutable.LinkedHashMap.empty[List[String], TemplateNode]
+  private val temporaries = mutable.LinkedHashMap.empty[Seq[String], TemplateNode]
   private var nextId = initial.nextId
 
   /** Template id for one tokenized log, inserting a temporary node on miss. */
   def matchOrInsert(tokens: Array[String]): TemplateNode =
     compiled.matchTokens(tokens).getOrElse {
-      val key = tokens.toList
-      temporaries.getOrElseUpdate(key, {
-        val node = TemplateNode(
-          id = nextId,
-          parentId = -1,
-          groupKey = GroupKey(tokens.length, Seq.empty),
-          template = tokens.toIndexedSeq,
-          saturation = 1.0,
-          effectiveSaturation = 1.0,
-          depth = 0,
-          count = 0L,
-          temporary = true,
-        )
-        nextId += 1
-        node
-      }) match {
-        case n =>
-          val bumped = n.copy(count = n.count + 1)
-          temporaries.update(key, bumped)
-          bumped
+      val bumped = temporaries.get(ArraySeq.unsafeWrapArray(tokens)) match {
+        case Some(n) => n.copy(count = n.count + 1)
+        case None =>
+          val node = TemplateNode(
+            id = nextId,
+            parentId = -1,
+            groupKey = GroupKey(tokens.length, Seq.empty),
+            template = tokens.toIndexedSeq,
+            saturation = 1.0,
+            effectiveSaturation = 1.0,
+            depth = 0,
+            count = 1L,
+            temporary = true,
+          )
+          nextId += 1
+          node
       }
+      // the template is an immutable copy of the tokens, so it is the key
+      temporaries.update(bumped.template, bumped)
+      bumped
     }
 
   /** Model including the temporaries collected so far (input to retraining). */

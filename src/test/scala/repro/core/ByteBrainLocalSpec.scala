@@ -132,4 +132,18 @@ class ByteBrainLocalSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](ByteBrainConfig(stopThreshold = 0.0))
     assertThrows[IllegalArgumentException](ByteBrainConfig(stopThreshold = 1.5))
   }
+
+  test("config validation rejects variable patterns with look-around, backreferences or bad syntax") {
+    for ((name, p) <- Seq(
+           "look-ahead" -> raw"id(?=\d)",
+           "backreference" -> raw"(\w)\1",
+           "named-backreference" -> raw"(?<c>\w)\k<c>",
+           "unbalanced" -> raw"(\d+")) {
+      val e = intercept[IllegalArgumentException](
+        ByteBrainConfig(variablePatterns = CommonVariables.defaultPatterns :+ (name -> p)))
+      assert(e.getMessage.contains(name) && e.getMessage.contains(p), e.getMessage)
+    }
+    val ok = ByteBrainConfig(variablePatterns = Seq("user-id" -> raw"\bu\d+\b"))
+    assert(ok.variablePatterns.size == 1)
+  }
 }

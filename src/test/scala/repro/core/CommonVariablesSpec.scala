@@ -1,5 +1,8 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
 class CommonVariablesSpec extends AnyFunSuite {
@@ -67,5 +70,68 @@ class CommonVariablesSpec extends AnyFunSuite {
     // "<*>" loses its delimiter characters under the default tokenizer, but
     // deterministically so — every replaced variable becomes the same token
     assert(toks(1) == "*")
+  }
+
+  /** `replace` must equal applying `String.replaceAll` pattern by pattern. */
+  private def reference(m: String, patterns: Seq[(String, String)]): String =
+    patterns.foldLeft(m) { case (acc, (_, p)) => acc.replaceAll(p, W) }
+
+  /** Strings of variables glued to each other and to other text, so the
+    * `\b` anchors and the list order both matter.
+    */
+  private val messages: Gen[String] = {
+    val hex = Gen.hexChar
+    def hexN(n: Int) = Gen.listOfN(n, hex).map(_.mkString)
+    val d2 = Gen.choose(0, 99).map(i => f"$i%02d")
+    val ip = for { os <- Gen.listOfN(4, Gen.choose(0, 999)); port <- Gen.option(Gen.choose(0, 99999)) }
+      yield os.mkString(".") + port.fold("")(":" + _)
+    val uuid = Gen.sequence[List[String], String](List(8, 4, 4, 4, 12).map(hexN)).map(_.mkString("-"))
+    val mac = Gen.listOfN(6, hexN(2)).map(_.mkString(":"))
+    val hexLit = Gen.choose(1, 12).flatMap(hexN).map("0x" + _)
+    val ts = for {
+      y <- Gen.choose(1990, 2099); mo <- d2; dd <- d2; sep <- Gen.oneOf(" ", "T")
+      h <- d2; mi <- d2; sec <- d2; frac <- Gen.oneOf("", ".123", ",5")
+      zone <- Gen.oneOf("", "Z", "+08:00", "-0500")
+    } yield s"$y-$mo-$dd$sep$h:$mi:$sec$frac$zone"
+    val text = Gen.oneOf("a", "x1", "u42", "id", "0", "42", "-", "_", ".", ":", "/", " ", "T", "Z", "+", "=", W,
+      "ab", "cafe", "é", "\u0663")
+    val piece = Gen.frequency(4 -> text, 1 -> ip, 1 -> uuid, 1 -> hexN(32), 1 -> mac, 1 -> hexLit, 1 -> ts)
+    Gen.choose(0, 12).flatMap(Gen.listOfN(_, piece)).map(_.mkString)
+  }
+
+  private def checkAgainstReference(patterns: Seq[(String, String)], seed: Long): Unit = {
+    val prop = Prop.forAll(messages) { m =>
+      val got = CommonVariables.replace(m, patterns)
+      (got == reference(m, patterns)) :| s"$m: $got vs ${reference(m, patterns)}"
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(2000).withInitialSeed(Seed(seed))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status.toString)
+  }
+
+  test("replace equals String.replaceAll pattern by pattern, default list (ScalaCheck)") {
+    checkAgainstReference(CommonVariables.defaultPatterns, 11L)
+  }
+
+  test("replace equals String.replaceAll pattern by pattern, custom list (ScalaCheck)") {
+    // later patterns see the wildcards earlier ones wrote
+    val custom = Seq(
+      "user-id" -> raw"\bu\d+\b",
+      "number" -> raw"\d+",
+      "wild-pair" -> raw"<\*>[.:]<\*>",
+      "hex-word" -> raw"(?i)\b[a-f]{4,}\b")
+    checkAgainstReference(custom, 12L)
+  }
+
+  test("lists are compiled once each, and equal lists share the compiled patterns") {
+    val a = Seq("n" -> raw"\d+")
+    assert(CommonVariables.compiled(a) eq CommonVariables.compiled(a))
+    assert(CommonVariables.compiled(a) eq CommonVariables.compiled(Seq("n" -> raw"\d+")))
+    assert(CommonVariables.compiled(a).map(_.pattern).toSeq == Seq(raw"\d+"))
+  }
+
+  test("a pattern that does not compile is an IllegalArgumentException naming it") {
+    val e = intercept[IllegalArgumentException](CommonVariables.replace("x", Seq("broken" -> "(ab")))
+    assert(e.getMessage.contains("broken") && e.getMessage.contains("(ab"))
   }
 }

@@ -1,5 +1,10 @@
 package repro.core
 
+import java.util.regex.Pattern
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
 class TokenizerSpec extends AnyFunSuite {
@@ -87,6 +92,11 @@ class TokenizerSpec extends AnyFunSuite {
 
   test("backreferences are rejected in user tokenizers") {
     assert(Tokenizer.hasForbiddenConstruct("""(a)\1"""))
+    assert(Tokenizer.hasForbiddenConstruct("""(?<x>a)\k<x>"""))
+    assert(Tokenizer.hasForbiddenConstruct("""\\\1"""))
+    // an escaped backslash before a digit is a literal, not a backreference
+    assert(!Tokenizer.hasForbiddenConstruct("""C:\\1"""))
+    assert(!Tokenizer.hasForbiddenConstruct("""[\d,]+\(x\)"""))
   }
 
   test("tokenization is deterministic over random inputs") {
@@ -99,5 +109,49 @@ class TokenizerSpec extends AnyFunSuite {
     randomStrings(300).foreach { s =>
       assert(tok.tokenize(s).forall(t => !t.contains(' ') && t.nonEmpty))
     }
+  }
+
+  /** What the default tokenizer must equal: the §4.1.1 regex run by `Pattern.split`. */
+  private val reference = Pattern.compile(Tokenizer.DefaultDelimiters)
+  private def split(s: String): Seq[String] = reference.split(s).filter(_.nonEmpty).toSeq
+
+  test("the default tokenizer equals Pattern.split on random strings (ScalaCheck)") {
+    // every char the regex treats specially, every \s char, the line
+    // terminators `$` looks past, and non-ASCII letters and digits
+    val pieces = Gen.oneOf(
+      ":", "/", ".", "\\", "\"", "'", "://", ":/", "\\\"", "\\'",
+      " ", "\t", "\n", "\u000B", "\f", "\r", "\r\n", "\u0085", "\u2028", "\u2029", "\u00A0",
+      ";", "=", "(", ")", "[", "]", "{", "}", "?", "@", "&", "<", ">", ",", "-", "_",
+      "a", "Z", "7", "0", "é", "ß", "Ж", "中", "\u0663", "\uD835\uDFD9", "x1", "<*>")
+    val strings = Gen.choose(0, 24).flatMap(Gen.listOfN(_, pieces)).map(_.mkString)
+    val prop = Prop.forAll(strings) { s =>
+      val got = tok.tokenize(s).toSeq
+      (got == split(s)) :| s"${s.map(_.toInt.toHexString)}: $got vs ${split(s)}"
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(5000).withInitialSeed(Seed(7L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status.toString)
+  }
+
+  test("inside a delimiter run a colon ends the run, so :// is not taken there") {
+    assert(tok.tokenize("a ://x").toSeq == Seq("a", "//x"))
+    assert(split("a ://x") == Seq("a", "//x"))
+    assert(tok.tokenize("a://x").toSeq == Seq("a", "x"))
+  }
+
+  test("a period before a final line terminator ends a sentence; the terminator stays a token") {
+    assert(tok.tokenize("end.\u2028").toSeq == Seq("end", "\u2028"))
+    assert(split("end.\u2028") == Seq("end", "\u2028"))
+    assert(tok.tokenize("x.\r\n").toSeq == Seq("x"))
+    assert(tok.tokenize("v1.2.\u0085 tail").toSeq == Seq("v1.2.\u0085", "tail"))
+  }
+
+  test("backslash-quote is one two-char delimiter; a lone backslash is not") {
+    assert(tok.tokenize("""a\'b\c""").toSeq == Seq("a", """b\c"""))
+  }
+
+  test("\\s is ASCII only: non-breaking and ideographic spaces stay inside tokens") {
+    assert(tok.tokenize("a\u00A0b c\u3000d").toSeq == Seq("a\u00A0b", "c\u3000d"))
+    assert(tok.tokenize("a\u000Bb").toSeq == Seq("a", "b"))
   }
 }
