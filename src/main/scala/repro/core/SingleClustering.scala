@@ -98,7 +98,7 @@ object SingleClustering {
     var changed = true
     while (iter < MaxIterations && changed) {
       changed = assignAll(logs, assignment, statsByCluster, -1, -1, cfg, rng)
-      statsByCluster = rebuildStats(logs, assignment, k, m)
+      statsByCluster = rebuildStats(logs, assignment, k, m, statsByCluster)
 
       // once assignments converge, expand if some non-trivial cluster shows
       // no saturation improvement over the parent (checking only at
@@ -115,7 +115,7 @@ object SingleClustering {
           if (seedIdx >= 0) {
             assignment(seedIdx) = k
             k += 1
-            statsByCluster = rebuildStats(logs, assignment, k, m)
+            statsByCluster = rebuildStats(logs, assignment, k, m, statsByCluster)
             changed = true
           }
         }
@@ -134,7 +134,7 @@ object SingleClustering {
     var moved = true
     while (moved && passes < 4) {
       moved = false
-      statsByCluster = rebuildStats(logs, assignment, k, m)
+      statsByCluster = rebuildStats(logs, assignment, k, m, statsByCluster)
       val members = Array.fill(k)(Vector.newBuilder[UniqueLog])
       logs.indices.foreach(i => if (assignment(i) >= 0) members(assignment(i)) += logs(i))
       val memberLists = members.map(_.result())
@@ -238,13 +238,17 @@ object SingleClustering {
     best
   }
 
+  /** Stats of the `k` clusters under `assignment`; cluster c's tables are
+    * sized like `previous(c)`, the stats it is rebuilt from, if there is one.
+    */
   private def rebuildStats(
       logs: IndexedSeq[UniqueLog],
       assignment: Array[Int],
       k: Int,
       m: Int,
+      previous: Array[ClusterStats] = Array.empty,
   ): Array[ClusterStats] = {
-    val stats = Array.fill(k)(new ClusterStats(m))
+    val stats = Array.tabulate(k)(c => if (c < previous.length) previous(c).emptyLike else new ClusterStats(m))
     var i = 0
     while (i < logs.length) {
       val a = assignment(i)

@@ -1,5 +1,10 @@
 package repro.core
 
+import scala.collection.mutable
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
 class ClusterStatsSpec extends AnyFunSuite {
@@ -46,5 +51,25 @@ class ClusterStatsSpec extends AnyFunSuite {
     assert(s.totalCount == 0)
     assert(s.uniqueCount == 0)
     assert((0 until 3).forall(s.isConstant)) // vacuously constant
+  }
+
+  test("HashCounts agrees with a HashMap on random adds, hash 0 and colliding hashes included (ScalaCheck)") {
+    // few distinct keys, so adds repeat keys; multiples of 2^32 share the
+    // low bits; 0 and Long.MinValue are the values open addressing trips on
+    val keys = Gen.oneOf(
+      Gen.choose(-3L, 3L), Gen.choose(0L, 40L).map(_ << 32), Gen.const(Long.MinValue),
+      Gen.const(Long.MaxValue), Gen.choose(Long.MinValue, Long.MaxValue))
+    val adds = Gen.choose(0, 300).flatMap(Gen.listOfN(_, Gen.zip(keys, Gen.choose(0L, 5L))))
+    val prop = Prop.forAll(adds) { xs =>
+      val got = new HashCounts
+      val want = mutable.HashMap.empty[Long, Long]
+      xs.foreach { case (h, c) => got.add(h, c); want(h) = want.getOrElse(h, 0L) + c }
+      val probes = want.keys ++ xs.map(_._1 + 1) ++ Seq(0L, 17L << 32, Long.MinValue)
+      (got.size == want.size) :| s"size ${got.size} vs ${want.size}" &&
+        probes.forall(h => got(h) == want.getOrElse(h, 0L)) :| "a count differs"
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(2000).withInitialSeed(Seed(7L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status.toString)
   }
 }
