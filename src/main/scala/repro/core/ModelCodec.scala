@@ -1,6 +1,6 @@
 package repro.core
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream}
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, DataInputStream, DataOutputStream, EOFException}
 import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Path}
 
@@ -41,21 +41,47 @@ object ModelCodec {
     bos.toByteArray
   }
 
+  /** Decode a model file. Every length is checked against the bytes left
+    * before it is used, so a corrupt or hostile file costs at most its own
+    * size; any malformed input, trailing bytes included, is an
+    * `IllegalArgumentException` starting "corrupt model file:".
+    */
   def deserialize(bytes: Array[Byte]): TemplateModel = {
     val in = new DataInputStream(new ByteArrayInputStream(bytes))
-    require(in.readInt() == Magic, "not a ByteBrain model file")
-    require(in.readInt() == Version, "unsupported model version")
-    val n = in.readInt()
-    val nodes = Vector.fill(n) {
-      val id = in.readInt(); val parent = in.readInt(); val depth = in.readInt()
-      val count = in.readLong(); val sat = in.readDouble(); val eff = in.readDouble()
-      val temp = in.readBoolean()
-      val numTokens = in.readInt()
-      val prefix = Vector.fill(in.readInt())(readStr(in))
-      val template = Vector.fill(in.readInt())(readStr(in))
-      TemplateNode(id, parent, GroupKey(numTokens, prefix), template, sat, eff, depth, count, temp)
+    try {
+      check(in.readInt() == Magic, "not a ByteBrain model file")
+      check(in.readInt() == Version, "unsupported model version")
+      val n = readLength(in, NodeMinBytes, "node count")
+      val nodes = Vector.fill(n) {
+        val id = in.readInt(); val parent = in.readInt(); val depth = in.readInt()
+        val count = in.readLong(); val sat = in.readDouble(); val eff = in.readDouble()
+        val temp = in.readBoolean()
+        val numTokens = in.readInt()
+        val prefix = Vector.fill(readLength(in, 4, "prefix size"))(readStr(in))
+        val template = Vector.fill(readLength(in, 4, "template size"))(readStr(in))
+        TemplateNode(id, parent, GroupKey(numTokens, prefix), template, sat, eff, depth, count, temp)
+      }
+      check(in.available() == 0, s"${in.available()} trailing bytes")
+      try new TemplateModel(nodes)
+      catch { case e: IllegalArgumentException => throw corrupt(e.getMessage) }
+    } catch {
+      case _: EOFException => throw corrupt("truncated")
     }
-    new TemplateModel(nodes)
+  }
+
+  /** Bytes of a node with an empty prefix and template. */
+  private val NodeMinBytes = 4 + 4 + 4 + 8 + 8 + 8 + 1 + 4 + 4 + 4
+
+  private def corrupt(what: String) = new IllegalArgumentException(s"corrupt model file: $what")
+  private def check(ok: Boolean, what: => String): Unit = if (!ok) throw corrupt(what)
+
+  /** A count of items of at least `itemBytes` bytes each, checked to fit in
+    * the bytes left.
+    */
+  private def readLength(in: DataInputStream, itemBytes: Int, what: String): Int = {
+    val n = in.readInt()
+    check(n >= 0 && n <= in.available() / itemBytes, s"$what $n with ${in.available()} bytes left")
+    n
   }
 
   def sizeInBytes(model: TemplateModel): Long = serialize(model).length.toLong
@@ -68,7 +94,7 @@ object ModelCodec {
     out.writeInt(b.length); out.write(b)
   }
   private def readStr(in: DataInputStream): String = {
-    val b = new Array[Byte](in.readInt())
+    val b = new Array[Byte](readLength(in, 1, "string length"))
     in.readFully(b)
     new String(b, StandardCharsets.UTF_8)
   }

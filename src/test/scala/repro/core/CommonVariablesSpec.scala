@@ -77,30 +77,49 @@ class CommonVariablesSpec extends AnyFunSuite {
     patterns.foldLeft(m) { case (acc, (_, p)) => acc.replaceAll(p, W) }
 
   /** Strings of variables glued to each other and to other text, so the
-    * `\b` anchors and the list order both matter.
+    * `\b` anchors and the list order both matter. Hex runs straddle the
+    * 32-char md5 length, alone and cut by a variable an earlier pattern
+    * replaces; `0x` comes whole, split around a UUID, and at either end; the
+    * non-ASCII digits are ones `\d` does not match.
     */
   private val messages: Gen[String] = {
-    val hex = Gen.hexChar
-    def hexN(n: Int) = Gen.listOfN(n, hex).map(_.mkString)
+    // a quarter of the hex variables hold no decimal digit
+    val hexAlphabet = Gen.frequency(3 -> Gen.hexChar, 1 -> Gen.oneOf("abcdefABCDEF"))
+    def hexN(n: Int) = hexAlphabet.flatMap(Gen.listOfN(n, _)).map(_.mkString)
     val d2 = Gen.choose(0, 99).map(i => f"$i%02d")
     val ip = for { os <- Gen.listOfN(4, Gen.choose(0, 999)); port <- Gen.option(Gen.choose(0, 99999)) }
       yield os.mkString(".") + port.fold("")(":" + _)
-    val uuid = Gen.sequence[List[String], String](List(8, 4, 4, 4, 12).map(hexN)).map(_.mkString("-"))
-    val mac = Gen.listOfN(6, hexN(2)).map(_.mkString(":"))
+    val uuid = hexAlphabet.flatMap(h => Gen.sequence[List[String], String](
+      List(8, 4, 4, 4, 12).map(Gen.listOfN(_, h).map(_.mkString))).map(_.mkString("-")))
+    val mac = hexAlphabet.flatMap(h => Gen.listOfN(6, Gen.listOfN(2, h).map(_.mkString))).map(_.mkString(":"))
     val hexLit = Gen.choose(1, 12).flatMap(hexN).map("0x" + _)
     val ts = for {
       y <- Gen.choose(1990, 2099); mo <- d2; dd <- d2; sep <- Gen.oneOf(" ", "T")
       h <- d2; mi <- d2; sec <- d2; frac <- Gen.oneOf("", ".123", ",5")
       zone <- Gen.oneOf("", "Z", "+08:00", "-0500")
     } yield s"$y-$mo-$dd$sep$h:$mi:$sec$frac$zone"
+    val hexRun = Gen.oneOf(31, 32, 33).flatMap(hexN)
+    val cutRun = for {
+      k <- Gen.choose(0, 33); cut <- Gen.oneOf(uuid, ip, mac, ts, hexLit); a <- hexN(k); b <- hexN(33 - k)
+    } yield a + cut + b
+    val zeroUuidX = uuid.map("0" + _ + "x")
     val text = Gen.oneOf("a", "x1", "u42", "id", "0", "42", "-", "_", ".", ":", "/", " ", "T", "Z", "+", "=", W,
-      "ab", "cafe", "é", "\u0663")
-    val piece = Gen.frequency(4 -> text, 1 -> ip, 1 -> uuid, 1 -> hexN(32), 1 -> mac, 1 -> hexLit, 1 -> ts)
+      "ab", "cafe", "é", "\u0663", "\u0660", "\uFF11", "0x", "x", "0")
+    val piece = Gen.frequency(4 -> text, 1 -> ip, 1 -> uuid, 1 -> hexRun, 1 -> cutRun, 1 -> mac, 1 -> hexLit,
+      1 -> ts, 1 -> zeroUuidX)
     Gen.choose(0, 12).flatMap(Gen.listOfN(_, piece)).map(_.mkString)
   }
 
+  /** The same strings, most of them stripped of one feature character the
+    * gate in `replace` looks for, so each gate is exercised on both sides.
+    */
+  private val gatedMessages: Gen[String] = {
+    val strip = Gen.oneOf("", "0123456789", "-", ":", ".", "x", "0")
+    for { m <- messages; drop <- strip } yield m.filterNot(c => drop.indexOf(c) >= 0)
+  }
+
   private def checkAgainstReference(patterns: Seq[(String, String)], seed: Long): Unit = {
-    val prop = Prop.forAll(messages) { m =>
+    val prop = Prop.forAll(gatedMessages) { m =>
       val got = CommonVariables.replace(m, patterns)
       (got == reference(m, patterns)) :| s"$m: $got vs ${reference(m, patterns)}"
     }
@@ -123,11 +142,39 @@ class CommonVariablesSpec extends AnyFunSuite {
     checkAgainstReference(custom, 12L)
   }
 
+  test("replace equals String.replaceAll pattern by pattern, defaults reordered and renamed (ScalaCheck)") {
+    val regex = CommonVariables.defaultPatterns.toMap
+    // a user pattern first, then defaults under other names, with an
+    // ungated pattern between them that can eat what a later default needs
+    val custom = Seq(
+      "dashed-word" -> raw"\b[a-z]+-[a-z0-9]+\b",
+      "addr" -> regex("ipv4"),
+      "id" -> regex("uuid"),
+      "digit-pair" -> raw"\d\d",
+      "stamp" -> regex("iso-timestamp"),
+      "hash" -> regex("md5"),
+      "lit" -> regex("hex-long"),
+      "nic" -> regex("mac-address"))
+    checkAgainstReference(custom, 13L)
+    checkAgainstReference(CommonVariables.defaultPatterns.reverse, 14L)
+  }
+
+  test("a default regex is gated by its text, under any name; other regexes always run") {
+    val d = CommonVariables.compiled(CommonVariables.defaultPatterns)
+    val renamed = CommonVariables.compiled(Seq("x" -> raw"\d+") ++
+      CommonVariables.defaultPatterns.map { case (n, p) => s"my-$n" -> p })
+    assert(d.needs.forall(_ != 0))
+    assert(renamed.needs.toSeq == 0 +: d.needs.toSeq)
+  }
+
   test("lists are compiled once each, and equal lists share the compiled patterns") {
     val a = Seq("n" -> raw"\d+")
+    val b = Seq("w" -> raw"\w+")
     assert(CommonVariables.compiled(a) eq CommonVariables.compiled(a))
     assert(CommonVariables.compiled(a) eq CommonVariables.compiled(Seq("n" -> raw"\d+")))
-    assert(CommonVariables.compiled(a).map(_.pattern).toSeq == Seq(raw"\d+"))
+    assert(CommonVariables.compiled(b) ne CommonVariables.compiled(a))
+    assert(CommonVariables.compiled(a).patterns.map(_.pattern).toSeq == Seq(raw"\d+"))
+    assert(CommonVariables.replace("a 12 b", a) == s"a $W b" && CommonVariables.replace("a 12 b", b) == s"$W $W $W")
   }
 
   test("a pattern that does not compile is an IllegalArgumentException naming it") {

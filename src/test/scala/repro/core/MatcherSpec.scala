@@ -1,6 +1,10 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
+import repro.logdata.{Datasets, LogSynth}
 
 class MatcherSpec extends AnyFunSuite {
   private val W = CommonVariables.Wildcard
@@ -80,5 +84,56 @@ class MatcherSpec extends AnyFunSuite {
     val om = new OnlineMatcher(model)
     om.matchOrInsert(Array("get", "a", "done"))
     assert(om.modelWithTemporaries.size == model.size)
+  }
+
+  /** §4.8 by definition: the first node of the log's length, in `byLength`
+    * order, whose template matches.
+    */
+  private def linearScan(model: TemplateModel, tokens: Array[String]): Option[TemplateNode] =
+    model.byLength.get(tokens.length).flatMap(_.find(_.matches(tokens)))
+
+  test("matchTokens equals a linear scan in §4.8 order on trained, merged and temporary-bearing models (ScalaCheck)") {
+    val tok = Tokenizer.default
+    val cases = for {
+      name <- Gen.oneOf("Linux", "Mac", "HDFS", "BGL", "Apache", "OpenSSH")
+      seed <- Gen.choose(0L, 1000L)
+      heldOutShare <- Gen.oneOf(0.0, 0.2, 0.5)
+      stop <- Gen.oneOf(0.7, 0.9, 1.0)
+      variableInSaturation <- Gen.oneOf(true, false)
+    } yield (name, seed, heldOutShare, stop, variableInSaturation)
+    val prop = Prop.forAllNoShrink(cases) { case (name, seed, heldOutShare, stop, variableInSaturation) =>
+      val cfg = ByteBrainConfig(stopThreshold = stop, variableInSaturation = variableInSaturation)
+      val data = LogSynth.generate(Datasets.loghubSpec(name), 1500, seed)
+      val heldOut = new scala.util.Random(seed).shuffle(data.templates.map(_.id))
+        .take((data.templates.size * heldOutShare).toInt).toSet
+      val train = data.lines.indices.filter(i => !heldOut.contains(data.truth(i))).map(data.lines)
+      val (first, second) = train.splitAt(train.size / 2)
+      val trained = ByteBrain.trainLocal(train, cfg, parallelism = 1)
+      val merged = Merge.merge(ByteBrain.trainLocal(first, cfg, 1), ByteBrain.trainLocal(second, cfg, 1), cfg)
+      val logs = data.lines.map(ByteBrain.preprocess(_, cfg, tok))
+      // novel logs: one token changed, one dropped, one appended
+      val rng = new scala.util.Random(seed + 1)
+      val novel = logs.take(300).filter(_.nonEmpty).flatMap { t =>
+        val i = rng.nextInt(t.length)
+        Seq(t.updated(i, s"novel$i"), t.patch(i, Nil, 1), t :+ "tail")
+      }
+      val withTemporaries = {
+        val om = new OnlineMatcher(trained)
+        novel.foreach(om.matchOrInsert)
+        om.modelWithTemporaries
+      }
+      val disagreements = for {
+        (label, m) <- Seq("trained" -> trained, "merged" -> merged, "with temporaries" -> withTemporaries)
+        matcher = new CompiledMatcher(m)
+        t <- logs ++ novel
+        got = matcher.matchTokens(t).map(_.id)
+        want = linearScan(m, t).map(_.id)
+        if got != want
+      } yield s"$label model, ${t.mkString(" ")}: $got vs $want"
+      disagreements.isEmpty :| s"$name seed $seed: ${disagreements.take(3).mkString("; ")}"
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(24).withInitialSeed(Seed(31L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status.toString)
   }
 }
