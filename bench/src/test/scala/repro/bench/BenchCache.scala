@@ -2,25 +2,13 @@ package repro.bench
 
 import scala.collection.concurrent.TrieMap
 
-import repro.baselines.LogParser
-import repro.eval.{Harness, MethodResult}
 import repro.logdata.GeneratedDataset
 
-/** Bench suites share one JVM; evaluations of (method, dataset) pairs are
-  * memoized so the throughput table reuses the accuracy table's runs instead
-  * of re-parsing 80k-line corpora.
+/** Bench suites share one JVM; each dataset is generated once per run, so
+  * the tables that score the same corpora (Tables 1 and 3, the throughput
+  * comparison) do not regenerate 80k-line sets.
   */
 object BenchCache {
-  private val results = TrieMap.empty[(String, String, Int), MethodResult]
-
-  /** Keyed on (method, dataset name, line count) — LogHub and LogHub-2.0
-    * datasets share names but differ in scale.
-    */
-  def evaluate(parser: LogParser, ds: GeneratedDataset, timeoutSec: Int): MethodResult =
-    results.getOrElseUpdate((parser.name, ds.name, ds.numLogs),
-      Harness.evaluate(parser, ds, timeoutSec))
-
-  /** Datasets are generated once per suite run as well. */
   private val datasets = TrieMap.empty[String, GeneratedDataset]
   def dataset(key: String, gen: => GeneratedDataset): GeneratedDataset =
     datasets.getOrElseUpdate(key, gen)

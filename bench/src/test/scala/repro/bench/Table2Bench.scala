@@ -17,7 +17,7 @@ class Table2Bench extends AnyFunSuite {
 
     val results =
       for (ds <- datasets; m <- Methods.all(ds))
-        yield BenchCache.evaluate(m, ds, timeoutSec = 120)
+        yield Harness.evaluate(m, ds, timeoutSec = 120)
     val byMethod = results.groupBy(_.method)
 
     println("=== Table 2: Grouping Accuracy on LogHub (16 datasets × 2000 logs) ===")

@@ -17,7 +17,7 @@ class Table3Bench extends AnyFunSuite {
 
     val results =
       for (ds <- datasets; m <- Methods.all(ds))
-        yield BenchCache.evaluate(m, ds, timeoutSec = 120)
+        yield Harness.evaluate(m, ds, timeoutSec = 120)
     val byMethod = results.groupBy(_.method)
 
     println("=== Table 3: Grouping Accuracy on LogHub-2.0 (14 datasets, scaled) ===")

@@ -3,14 +3,15 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.ByteBrainParser
 import repro.core.ByteBrainConfig
-import repro.eval.Methods
+import repro.eval.{Harness, Methods}
 import repro.logdata.Datasets
 
 /** Reproduces the §5.3 efficiency comparison (the headline behind Fig. 6 and
   * the abstract's 229k logs/s / 840% claims): throughput of every method on
   * the four largest LogHub-2.0 datasets, plus the single-core "ByteBrain
   * Sequential" variant. Surrogate methods report analytically adjusted
-  * throughput (simulated NN/LLM inference — DESIGN.md §3).
+  * throughput (simulated NN/LLM inference — DESIGN.md §3). Each method is
+  * timed warm: the median of three passes after one warm-up pass.
   */
 class ThroughputBench extends AnyFunSuite {
 
@@ -22,7 +23,7 @@ class ThroughputBench extends AnyFunSuite {
     val methodNames = Methods.rowOrder :+ "ByteBrain-Sequential"
     val results =
       for (ds <- datasets; m <- Methods.all(ds) :+ sequential) yield
-        BenchCache.evaluate(m, ds, timeoutSec = 120)
+        Harness.evaluateWarm(m, ds, timeoutSec = 120)
     val byMethod = results.groupBy(_.method)
 
     println("=== Throughput (logs/second), LogHub-2.0 largest datasets ===")

@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.{Callable, Executors, TimeUnit}
+import java.util.concurrent.{Callable, ExecutorService, Executors, TimeUnit}
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
@@ -29,13 +29,15 @@ object ByteBrain {
     else tokenizer.tokenize(CommonVariables.replace(message, cfg.variablePatterns))
 
   /** Offline training on an in-memory batch (dedup → preprocess → group →
-    * sample → cluster), the local twin of [[Trainer.train]].
+    * sample → cluster), the local twin of [[Trainer.train]]. Preprocessing
+    * and clustering share one pool of `parallelism` threads.
     */
   def trainLocal(messages: IterableOnce[String], cfg: ByteBrainConfig,
                  parallelism: Int = Runtime.getRuntime.availableProcessors()): TemplateModel = {
     val (uniques, counts, _) = rawUniques(messages.iterator.toIndexedSeq, cfg.dedup)
-    val tokenizer = new Tokenizer(cfg.tokenizerRegex)
-    trainRows(uniques.iterator.map(preprocess(_, cfg, tokenizer)).zip(counts), cfg, parallelism)
+    withPool(parallelism) { pool =>
+      trainRows(preprocessAll(uniques, cfg, pool, parallelism), counts, cfg, pool)
+    }
   }
 
   /** Train + match a batch locally, returning the model and the matched
@@ -44,13 +46,15 @@ object ByteBrain {
     * so each unique line is preprocessed and matched once: log streams are
     * massively repetitive (paper Fig. 4), which makes this a key part of
     * ByteBrain's measured throughput edge over per-line streaming parsers.
+    * Matching stays on the calling thread: temporary ids follow input order.
     */
   def parseLocal(lines: IndexedSeq[String], cfg: ByteBrainConfig,
                  parallelism: Int = Runtime.getRuntime.availableProcessors()): (TemplateModel, Array[Int]) = {
     val (uniques, counts, uniqueOf) = rawUniques(lines, cfg.dedup)
-    val tokenizer = new Tokenizer(cfg.tokenizerRegex)
-    val tokens = uniques.map(preprocess(_, cfg, tokenizer))
-    val model = trainRows(tokens.iterator.zip(counts), cfg, parallelism)
+    val (tokens, model) = withPool(parallelism) { pool =>
+      val tokens = preprocessAll(uniques, cfg, pool, parallelism)
+      (tokens, trainRows(tokens, counts, cfg, pool))
+    }
     val matcher = new OnlineMatcher(model)
     val matched = tokens.map(t => if (t.isEmpty) -1 else matcher.matchOrInsert(t).id)
     (model, uniqueOf.map(matched))
@@ -74,29 +78,70 @@ object ByteBrain {
       (uniques.toIndexedSeq, counts.toArray, uniqueOf)
     }
 
-  /** Trains on preprocessed (tokens, count) rows: rows without tokens are
-    * dropped, the rest grouped (§4.2) and every group trained by
-    * [[Trainer.trainGroup]] on a small thread pool (§3 "Parallel").
+  /** Preprocessing tasks per pool thread, so a slow range does not hold up
+    * the rest; and the fewest lines a task gets, so small batches stay in
+    * one or a few tasks.
     */
-  private def trainRows(rows: Iterator[(Array[String], Long)], cfg: ByteBrainConfig,
-                        parallelism: Int): TemplateModel = {
-    val groups = rows.filter(_._1.nonEmpty).toSeq
-      .groupBy { case (t, _) => Trainer.groupKey(ArraySeq.unsafeWrapArray(t), cfg) }
-    val quotas = Trainer.groupQuotas(groups.iterator.map { case (k, rs) => k -> rs.map(_._2).sum }.toSeq, cfg)
-    val pool = Executors.newFixedThreadPool(math.max(1, parallelism))
-    try {
-      val tasks = groups.toSeq.map { case (key, rs) =>
-        new Callable[Seq[LocalNode]] {
-          override def call(): Seq[LocalNode] =
-            Trainer.trainGroup(key, rs.iterator, quotas.getOrElse(key, 0L), cfg)
+  private val ChunksPerThread = 4
+  private[core] val MinChunkLines = 256
+
+  /** [[preprocess]] of every message, in order, on `pool`: the messages are
+    * split into contiguous index ranges, each preprocessed by one task with
+    * its own [[Tokenizer]] into its slots of the result.
+    */
+  private def preprocessAll(messages: IndexedSeq[String], cfg: ByteBrainConfig,
+                            pool: ExecutorService, parallelism: Int): Array[Array[String]] = {
+    val n = messages.length
+    val out = new Array[Array[String]](n)
+    val chunks = math.max(1, math.min(ChunksPerThread * math.max(1, parallelism), n / MinChunkLines))
+    runAll(pool, (0 until chunks).map { c =>
+      val from = (n.toLong * c / chunks).toInt
+      val until = (n.toLong * (c + 1) / chunks).toInt
+      () => {
+        val tokenizer = new Tokenizer(cfg.tokenizerRegex)
+        var i = from
+        while (i < until) {
+          out(i) = preprocess(messages(i), cfg, tokenizer)
+          i += 1
         }
       }
-      Trainer.assemble(pool.invokeAll(tasks.asJava).asScala.toSeq.flatMap(_.get()))
-    } finally {
+    })
+    out
+  }
+
+  /** Trains on preprocessed rows and their counts: rows without tokens are
+    * dropped, the rest grouped (§4.2) and every group trained by
+    * [[Trainer.trainGroup]] on `pool` (§3 "Parallel").
+    */
+  private def trainRows(tokens: Array[Array[String]], counts: Array[Long], cfg: ByteBrainConfig,
+                        pool: ExecutorService): TemplateModel = {
+    val groups = tokens.iterator.zip(counts).filter(_._1.nonEmpty).toSeq
+      .groupBy { case (t, _) => Trainer.groupKey(ArraySeq.unsafeWrapArray(t), cfg) }
+    val quotas = Trainer.groupQuotas(groups.iterator.map { case (k, rs) => k -> rs.map(_._2).sum }.toSeq, cfg)
+    Trainer.assemble(runAll(pool, groups.toSeq.map { case (key, rs) =>
+      () => Trainer.trainGroup(key, rs.iterator, quotas.getOrElse(key, 0L), cfg)
+    }).flatten)
+  }
+
+  /** A fixed pool of `parallelism` threads (at least one) for `body`, shut
+    * down and drained when `body` returns or throws.
+    */
+  private def withPool[A](parallelism: Int)(body: ExecutorService => A): A = {
+    val pool = Executors.newFixedThreadPool(math.max(1, parallelism))
+    try body(pool)
+    finally {
       pool.shutdown()
       pool.awaitTermination(1, TimeUnit.MINUTES)
     }
   }
+
+  /** Runs every task on `pool` and returns their results in task order once
+    * all have ended; a task's exception surfaces from `Future.get` as an
+    * `ExecutionException`.
+    */
+  private def runAll[A](pool: ExecutorService, tasks: Seq[() => A]): Seq[A] =
+    pool.invokeAll(tasks.map(t => new Callable[A] { override def call(): A = t() }).asJava)
+      .asScala.toSeq.map(_.get())
 
   // ---------------------------------------------------------------- spark path
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** Merging a newly trained model into the previous one (paper §3: "The newly
@@ -17,16 +18,8 @@ object Merge {
 
   /** Fraction of agreeing positions between two same-length templates. */
   def templateSimilarity(a: IndexedSeq[String], b: IndexedSeq[String]): Double = {
-    require(a.length == b.length, "similarity is defined per length group")
-    if (a.isEmpty) return 1.0
-    var same = 0
-    var i = 0
-    while (i < a.length) {
-      val x = a(i); val y = b(i)
-      if (x == y || x == CommonVariables.Wildcard || y == CommonVariables.Wildcard) same += 1
-      i += 1
-    }
-    same.toDouble / a.length
+    val same = agreeing(a, b)
+    if (a.isEmpty) 1.0 else same.toDouble / a.length
   }
 
   def merge(oldModel: TemplateModel, newModel: TemplateModel, cfg: ByteBrainConfig): TemplateModel = {
@@ -54,19 +47,16 @@ object Merge {
 
         case Some(oldNodes) =>
           val oldRoot = oldNodes.minBy(_.depth)
+          val old = new OldGroup(oldNodes)
           val newChildren = newModel.childrenOf
           val newLeaves = newNodes.filter(n => !newChildren.contains(n.id))
           newLeaves.foreach { leaf =>
-            // among equally similar old nodes prefer the most specific one
-            // (fewest wildcards, deepest) so counts land on the leaf, not its
-            // wildcarded ancestors
-            val best = oldNodes.maxBy(o => (
-              templateSimilarity(o.template, leaf.template),
-              -o.template.count(_ == CommonVariables.Wildcard),
-              o.depth))
+            val best = oldNodes(old.best(ArraySeq.unsafeWrapArray(leaf.template.toArray)))
             val sim = templateSimilarity(best.template, leaf.template)
             if (sim >= cfg.mergeThreshold) {
-              merged.update(best.id, best.copy(count = best.count + leaf.count))
+              // add to the node as merged so far: earlier leaves may have landed there
+              val cur = merged(best.id)
+              merged.update(best.id, cur.copy(count = cur.count + leaf.count))
             } else {
               val nn = leaf.copy(
                 id = nextId,
@@ -82,5 +72,53 @@ object Merge {
       }
     }
     new TemplateModel(merged.values.toVector)
+  }
+
+  /** One old group's templates as arrays, with each node's wildcard count
+    * and depth, built once for the scans of all new leaves in the group.
+    */
+  private[core] final class OldGroup(nodes: IndexedSeq[TemplateNode]) {
+    private val templates: Array[ArraySeq[String]] =
+      nodes.iterator.map(n => ArraySeq.unsafeWrapArray(n.template.toArray)).toArray
+    private val wildcards: Array[Int] = templates.map(_.count(_ == CommonVariables.Wildcard))
+    private val depths: Array[Int] = nodes.iterator.map(_.depth).toArray
+
+    /** Index of the node most similar to `leaf`; among equally similar ones
+      * the most specific (fewest wildcards, then deepest), so counts land on
+      * a leaf rather than its wildcarded ancestors; the first of exact ties.
+      * Similarity is compared as agreeing-position counts, which order like
+      * [[templateSimilarity]] because all templates of a group have one
+      * length. `-1` for an empty group.
+      */
+    def best(leaf: ArraySeq[String]): Int = {
+      var best = -1
+      var bestSame, bestWildcards, bestDepth = 0
+      var i = 0
+      while (i < templates.length) {
+        val same = agreeing(templates(i), leaf)
+        if (best < 0 || same > bestSame ||
+            (same == bestSame && (wildcards(i) < bestWildcards ||
+              (wildcards(i) == bestWildcards && depths(i) > bestDepth)))) {
+          best = i; bestSame = same; bestWildcards = wildcards(i); bestDepth = depths(i)
+        }
+        i += 1
+      }
+      best
+    }
+  }
+
+  /** Positions where two same-length templates agree: equal tokens, or a
+    * wildcard on either side.
+    */
+  private def agreeing(a: IndexedSeq[String], b: IndexedSeq[String]): Int = {
+    require(a.length == b.length, "similarity is defined per length group")
+    var same = 0
+    var i = 0
+    while (i < a.length) {
+      val x = a(i); val y = b(i)
+      if (x == y || x == CommonVariables.Wildcard || y == CommonVariables.Wildcard) same += 1
+      i += 1
+    }
+    same
   }
 }

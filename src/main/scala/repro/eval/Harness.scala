@@ -63,6 +63,26 @@ object Harness {
     }
   }
 
+  /** [[evaluate]] timed warm: one untimed warm-up pass, then the result of
+    * the median-time pass among `passes` timed ones. A pass that does not
+    * finish is returned as it is, and ends the series.
+    */
+  def evaluateWarm(parser: LogParser, ds: GeneratedDataset, timeoutSec: Int = 120,
+                   passes: Int = 3): MethodResult = {
+    require(passes >= 1, "at least one timed pass")
+    val warmUp = evaluate(parser, ds, timeoutSec)
+    if (!warmUp.finished) return warmUp
+    val timed = Vector.newBuilder[MethodResult]
+    var i = 0
+    while (i < passes) {
+      val r = evaluate(parser, ds, timeoutSec)
+      if (!r.finished) return r
+      timed += r
+      i += 1
+    }
+    timed.result().sortBy(_.seconds).apply(passes / 2)
+  }
+
   /** Analytic inference cost for surrogate methods (DESIGN.md §3). */
   private def simulatedCost(parser: LogParser, numLogs: Int): Double = parser match {
     case l: LilacSurrogate    => l.oracleCalls * SimCost.LlmCallSeconds

@@ -1,5 +1,13 @@
 package repro.core
 
+import java.util.concurrent.ExecutionException
+
+import scala.jdk.CollectionConverters._
+import scala.util.Random
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.eval.GroupingAccuracy
 
@@ -145,5 +153,80 @@ class ByteBrainLocalSpec extends AnyFunSuite {
     }
     val ok = ByteBrainConfig(variablePatterns = Seq("user-id" -> raw"\bu\d+\b"))
     assert(ok.variablePatterns.size == 1)
+  }
+
+  /** A batch with exactly `uniques` distinct raw lines: three token-less
+    * ones (null, empty, whitespace-only) and the rest from four templates,
+    * with some lines repeated.
+    */
+  private def batch(uniques: Int, seed: Long): IndexedSeq[String] = {
+    val rng = new Random(seed)
+    val distinct = (0 until uniques - 3).map { i =>
+      rng.nextInt(4) match {
+        case 0 => s"accept connection from 10.0.${i % 250}.${i / 250} ok"
+        case 1 => s"reject user u$i after ${rng.nextInt(5)} retries"
+        case 2 => s"worker $i finished batch ${rng.nextInt(1000)}"
+        case 3 => s"session s$i closed"
+      }
+    } ++ Seq(null, "", " \t ")
+    val repeats = IndexedSeq.fill(rng.nextInt(uniques))(distinct(rng.nextInt(distinct.size)))
+    rng.shuffle(distinct ++ repeats)
+  }
+
+  test("trainLocal and parseLocal give the same model and ids at any parallelism and input order") {
+    val m = ByteBrain.MinChunkLines
+    val cases = for {
+      // below one chunk, exactly one and two chunks, and several
+      uniques <- Gen.oneOf(Gen.choose(4, m - 1), Gen.const(m), Gen.const(2 * m), Gen.choose(2 * m + 1, 3 * m))
+      seed <- Gen.long
+      capped <- Gen.oneOf(true, false)
+    } yield (uniques, seed, capped)
+    val prop = Prop.forAllNoShrink(cases) { case (uniques, seed, capped) =>
+      val lines = batch(uniques, seed)
+      // a cap below the token-bearing line count, so sampling applies
+      val c = if (capped) cfg.copy(sampleMaxLogs = lines.size / 2) else cfg
+      val expected = ModelCodec.serialize(ByteBrain.trainLocal(lines, c, 1))
+      Prop.all(Seq(lines, new Random(seed + 1).shuffle(lines)).zipWithIndex.flatMap { case (perm, order) =>
+        val ids1 = ByteBrain.parseLocal(perm, c, 1)._2
+        Seq(1, 2, 3, 8).map { p =>
+          val (model, ids) = ByteBrain.parseLocal(perm, c, p)
+          ((ModelCodec.serialize(ByteBrain.trainLocal(perm, c, p)) sameElements expected) &&
+            (ModelCodec.serialize(model) sameElements expected) &&
+            (ids sameElements ids1)) :| s"order $order, parallelism $p"
+        }
+      }: _*) :| s"uniques $uniques, seed $seed, capped $capped"
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(16).withInitialSeed(Seed(12L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status.toString)
+  }
+
+  /** Threads of a default-factory pool started since `before`, once they
+    * have had time to end.
+    */
+  private def poolThreadsLeft(before: Set[Thread]): Seq[Thread] = {
+    val started = Thread.getAllStackTraces.keySet.asScala.toSeq
+      .filter(t => !before(t) && t.getName.matches("pool-\\d+-thread-\\d+"))
+    started.foreach(_.join(10000))
+    started.filter(_.isAlive)
+  }
+
+  test("a preprocessing task's exception surfaces from Future.get and leaves no pool thread running") {
+    val (lines, _) = corpus(2000)
+    // Java's regex engine recurses once per repetition of a grouped
+    // alternation, so a long run overflows the stack of the task that scans it
+    val hostile = lines.patch(1000, Seq("xy" * 200000), 0)
+    val configs = Seq(
+      "variable pattern" -> cfg.copy(variablePatterns = Seq("xy-run" -> "(x|y)+")),
+      "tokenizer" -> cfg.copy(tokenizerRegex = "(?:x|y)+|\\s+"))
+    for ((what, c) <- configs; p <- Seq(1, 4)) {
+      val before = Thread.getAllStackTraces.keySet.asScala.toSet
+      val e = intercept[ExecutionException](ByteBrain.trainLocal(hostile, c, p))
+      assert(e.getCause.isInstanceOf[StackOverflowError], s"$what, parallelism $p: $e")
+      assert(poolThreadsLeft(before).isEmpty, s"$what, parallelism $p")
+    }
+    val before = Thread.getAllStackTraces.keySet.asScala.toSet
+    assert(ByteBrain.trainLocal(lines, configs.head._2, 4).size > 0)
+    assert(poolThreadsLeft(before).isEmpty)
   }
 }

@@ -32,6 +32,31 @@ class HarnessSpec extends AnyFunSuite {
     assert(r.ga == 0.0)
   }
 
+  /** Sleeps `millis(k)` ms on its k-th parse, counting parses. */
+  private final class Paced(millis: Int*) extends LogParser {
+    @volatile var calls = 0
+    override def name = "Paced"
+    override def parse(input: ParseInput): Array[Int] = {
+      Thread.sleep(millis(calls)); calls += 1
+      Array.fill(input.lines.size)(0)
+    }
+  }
+
+  test("evaluateWarm reports the median of the timed passes after an untimed warm-up") {
+    val p = new Paced(1000, 20, 500, 200)
+    val r = Harness.evaluateWarm(p, ds, timeoutSec = 30, passes = 3)
+    assert(p.calls == 4)
+    assert(r.finished && r.numLogs == 200)
+    assert(r.seconds >= 0.2 && r.seconds < 0.5, r.seconds) // the 200 ms pass
+  }
+
+  test("evaluateWarm stops at a pass that does not finish") {
+    val p = new Paced(10, 3000, 10, 10)
+    val r = Harness.evaluateWarm(p, ds, timeoutSec = 1, passes = 3)
+    assert(!r.finished)
+    assert(p.calls <= 2)
+  }
+
   test("throughput = logs / adjusted seconds") {
     val r = MethodResult("m", "d", 1.0, 2.0, 4.0, 100, finished = true)
     assert(r.throughput == 25.0)
