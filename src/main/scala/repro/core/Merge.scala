@@ -17,10 +17,11 @@ import scala.collection.mutable
 object Merge {
 
   /** Fraction of agreeing positions between two same-length templates. */
-  def templateSimilarity(a: IndexedSeq[String], b: IndexedSeq[String]): Double = {
-    val same = agreeing(a, b)
-    if (a.isEmpty) 1.0 else same.toDouble / a.length
-  }
+  def templateSimilarity(a: IndexedSeq[String], b: IndexedSeq[String]): Double =
+    similarity(agreeing(a, b), a.length)
+
+  private def similarity(same: Int, length: Int): Double =
+    if (length == 0) 1.0 else same.toDouble / length
 
   def merge(oldModel: TemplateModel, newModel: TemplateModel, cfg: ByteBrainConfig): TemplateModel = {
     if (oldModel.nodes.isEmpty) return newModel
@@ -51,9 +52,9 @@ object Merge {
           val newChildren = newModel.childrenOf
           val newLeaves = newNodes.filter(n => !newChildren.contains(n.id))
           newLeaves.foreach { leaf =>
-            val best = oldNodes(old.best(ArraySeq.unsafeWrapArray(leaf.template.toArray)))
-            val sim = templateSimilarity(best.template, leaf.template)
+            val (bestIndex, sim) = old.best(leaf.template)
             if (sim >= cfg.mergeThreshold) {
+              val best = oldNodes(bestIndex)
               // add to the node as merged so far: earlier leaves may have landed there
               val cur = merged(best.id)
               merged.update(best.id, cur.copy(count = cur.count + leaf.count))
@@ -83,14 +84,15 @@ object Merge {
     private val wildcards: Array[Int] = templates.map(_.count(_ == CommonVariables.Wildcard))
     private val depths: Array[Int] = nodes.iterator.map(_.depth).toArray
 
-    /** Index of the node most similar to `leaf`; among equally similar ones
-      * the most specific (fewest wildcards, then deepest), so counts land on
-      * a leaf rather than its wildcarded ancestors; the first of exact ties.
-      * Similarity is compared as agreeing-position counts, which order like
+    /** Index of the node most similar to `leaf`, with its
+      * [[templateSimilarity]]; among equally similar ones the most specific
+      * (fewest wildcards, then deepest), so counts land on a leaf rather than
+      * its wildcarded ancestors; the first of exact ties. Similarity is
+      * compared as agreeing-position counts, which order like
       * [[templateSimilarity]] because all templates of a group have one
-      * length. `-1` for an empty group.
+      * length. Index `-1` for an empty group.
       */
-    def best(leaf: ArraySeq[String]): Int = {
+    def best(leaf: IndexedSeq[String]): (Int, Double) = {
       var best = -1
       var bestSame, bestWildcards, bestDepth = 0
       var i = 0
@@ -103,7 +105,7 @@ object Merge {
         }
         i += 1
       }
-      best
+      (best, similarity(bestSame, leaf.length))
     }
   }
 

@@ -63,24 +63,24 @@ object Harness {
     }
   }
 
+  private val WarmPasses = 3
+
   /** [[evaluate]] timed warm: one untimed warm-up pass, then the result of
-    * the median-time pass among `passes` timed ones. A pass that does not
-    * finish is returned as it is, and ends the series.
+    * the median-time pass among [[WarmPasses]] timed ones. A pass that does
+    * not finish is returned as it is, and ends the series.
     */
-  def evaluateWarm(parser: LogParser, ds: GeneratedDataset, timeoutSec: Int = 120,
-                   passes: Int = 3): MethodResult = {
-    require(passes >= 1, "at least one timed pass")
+  def evaluateWarm(parser: LogParser, ds: GeneratedDataset, timeoutSec: Int = 120): MethodResult = {
     val warmUp = evaluate(parser, ds, timeoutSec)
     if (!warmUp.finished) return warmUp
     val timed = Vector.newBuilder[MethodResult]
     var i = 0
-    while (i < passes) {
+    while (i < WarmPasses) {
       val r = evaluate(parser, ds, timeoutSec)
       if (!r.finished) return r
       timed += r
       i += 1
     }
-    timed.result().sortBy(_.seconds).apply(passes / 2)
+    timed.result().sortBy(_.seconds).apply(WarmPasses / 2)
   }
 
   /** Analytic inference cost for surrogate methods (DESIGN.md §3). */

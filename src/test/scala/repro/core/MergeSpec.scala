@@ -129,9 +129,11 @@ class MergeSpec extends AnyFunSuite {
       (nodes, leaf.toVector)
     }
     val prop = Prop.forAll(groups) { case (nodes, leaf) =>
-      val got = new Merge.OldGroup(nodes).best(ArraySeq.from(leaf))
+      val (got, sim) = new Merge.OldGroup(nodes).best(leaf)
       val expected = referenceBest(nodes, leaf)
-      (got == nodes.indexWhere(_ eq expected)) :| s"leaf $leaf: got $got, expected ${expected.id} in\n${nodes.mkString("\n")}"
+      (got == nodes.indexWhere(_ eq expected) &&
+        sim == Merge.templateSimilarity(expected.template, leaf)) :|
+        s"leaf $leaf: got $got ($sim), expected ${expected.id} in\n${nodes.mkString("\n")}"
     }
     val params = Test.Parameters.default.withMinSuccessfulTests(1000).withInitialSeed(Seed(9L))
     val result = Test.check(params, prop)

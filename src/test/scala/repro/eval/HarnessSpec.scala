@@ -44,7 +44,7 @@ class HarnessSpec extends AnyFunSuite {
 
   test("evaluateWarm reports the median of the timed passes after an untimed warm-up") {
     val p = new Paced(1000, 20, 500, 200)
-    val r = Harness.evaluateWarm(p, ds, timeoutSec = 30, passes = 3)
+    val r = Harness.evaluateWarm(p, ds, timeoutSec = 30)
     assert(p.calls == 4)
     assert(r.finished && r.numLogs == 200)
     assert(r.seconds >= 0.2 && r.seconds < 0.5, r.seconds) // the 200 ms pass
@@ -52,7 +52,7 @@ class HarnessSpec extends AnyFunSuite {
 
   test("evaluateWarm stops at a pass that does not finish") {
     val p = new Paced(10, 3000, 10, 10)
-    val r = Harness.evaluateWarm(p, ds, timeoutSec = 1, passes = 3)
+    val r = Harness.evaluateWarm(p, ds, timeoutSec = 1)
     assert(!r.finished)
     assert(p.calls <= 2)
   }
