@@ -55,6 +55,8 @@ final class LogSig(k: Int, iterations: Int = 3, seed: Long = 11L) extends LogPar
       moved = false
       var i = 0
       while (i < n) {
+        // a time-boxed caller interrupts a search it has given up on
+        if (Thread.interrupted()) throw new InterruptedException("LogSig interrupted")
         var bestG = assign(i); var bestPhi = -1.0
         var g = 0
         while (g < kk) {

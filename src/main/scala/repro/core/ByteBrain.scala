@@ -4,8 +4,9 @@ import java.util.concurrent.{Callable, ExecutorService, Executors, TimeUnit}
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
+import scala.reflect.runtime.universe.TypeTag
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** End-to-end ByteBrain facade.
@@ -152,51 +153,64 @@ object ByteBrain {
 
   /** Online matching as a Spark job: broadcast the compiled model and map
     * every log to (templateId, saturation, templateText). Unmatched logs get
-    * templateId −1 (they would become temporary singletons in the service).
+    * templateId −1, saturation 0 and no text (they would become temporary
+    * singletons in the service).
+    *
+    * Each task preprocesses and matches each distinct line once: the match
+    * UDF answers repeats from its [[MatchMemo]] and returns only the id. The
+    * saturation and text columns are looked up from that id, so Catalyst
+    * drops them when a caller reads only `template_id`.
     */
   def matchDf(spark: SparkSession, model: TemplateModel, logs: DataFrame, cfg: ByteBrainConfig,
               messageCol: String = "message"): DataFrame = {
     val bc = spark.sparkContext.broadcast(new CompiledMatcher(model))
-    // shipped inside the UDF's closure: one instance per task, not per row
+    // shipped inside the UDF's closure: one instance of each per task, not per row
     val tokenizer = new Tokenizer(cfg.tokenizerRegex)
-    val matchUdf = udf { (msg: String) =>
-      bc.value.matchTokens(preprocess(msg, cfg, tokenizer)) match {
-        case Some(n) => (n.id, n.effectiveSaturation, n.templateText)
-        case None    => (-1, 0.0, null: String)
-      }
-    }
-    logs.withColumn("_m", matchUdf(col(messageCol)))
-      .withColumn("template_id", col("_m._1"))
-      .withColumn("saturation", col("_m._2"))
-      .withColumn("template", col("_m._3"))
-      .drop("_m")
+    val memo = new MatchMemo(msg => bc.value.matchTokens(preprocess(msg, cfg, tokenizer)).fold(-1)(_.id))
+    val matchUdf = udf((msg: String) => memo(msg))
+    val nodes = model.resolveIndex.node
+    val id = col("template_id")
+    logs.withColumn("template_id", matchUdf(col(messageCol)))
+      .withColumn("saturation", byTemplateId(spark, model, nodes.map(n => Double.box(n.effectiveSaturation)),
+        Double.box(0.0))(id))
+      .withColumn("template", byTemplateId(spark, model, nodes.map(_.templateText), null: String)(id))
   }
 
   /** Query-time precision adjustment over a matched DataFrame: map each
     * matched template id to the coarsest ancestor meeting `threshold` (§3
     * "Query") and its §7 display text. Every model node is resolved once on
-    * the driver; tasks get the broadcast id → (query id, text) table.
+    * the driver; tasks look both columns up by id, so a caller that reads only
+    * `query_template_id` never builds the text.
     */
   def queryDf(spark: SparkSession, model: TemplateModel, matched: DataFrame,
               threshold: Double): DataFrame = {
-    val ix = model.resolveIndex
-    val rows = ix.node.map { n =>
-      val q = Query.resolve(model, n.id, threshold)
-      (q.id, Query.mergeConsecutiveWildcards(q.template).mkString(" "))
-    }
-    val bc = spark.sparkContext.broadcast((ix.position, rows))
-    val resolveUdf = udf { (id: Int) =>
-      if (id < 0) (-1, null: String)
+    val resolved = model.resolveIndex.node.map(n => Query.resolve(model, n.id, threshold))
+    val id = col("template_id")
+    matched
+      .withColumn("query_template_id", byTemplateId(spark, model, resolved.map(q => Int.box(q.id)),
+        Int.box(-1))(id))
+      .withColumn("query_template", byTemplateId(spark, model,
+        resolved.map(q => Query.mergeConsecutiveWildcards(q.template).mkString(" ")), null: String)(id))
+  }
+
+  /** The column of `values(p)` for each template id in `id`, where `p` is the
+    * id's node position in `model.resolveIndex` and `values` holds one entry
+    * per node in that order; `none` for a negative id (no match), and a
+    * `NoSuchElementException` for an id the model lacks. The id → position
+    * table and `values` are broadcast, so a task only indexes them.
+    */
+  private def byTemplateId[A <: AnyRef : TypeTag](spark: SparkSession, model: TemplateModel,
+                                                 values: Array[A], none: A)(id: Column): Column = {
+    val bc = spark.sparkContext.broadcast((model.resolveIndex.position, values))
+    val lookup = udf { (templateId: Int) =>
+      if (templateId < 0) none
       else {
-        val (position, rows) = bc.value
-        val p = position(id)
-        if (p < 0) throw new NoSuchElementException(s"no template node with id $id")
-        rows(p)
+        val (position, byPosition) = bc.value
+        val p = position(templateId)
+        if (p < 0) throw new NoSuchElementException(s"no template node with id $templateId")
+        byPosition(p)
       }
     }
-    matched.withColumn("_q", resolveUdf(col("template_id")))
-      .withColumn("query_template_id", col("_q._1"))
-      .withColumn("query_template", col("_q._2"))
-      .drop("_q")
+    lookup(id)
   }
 }

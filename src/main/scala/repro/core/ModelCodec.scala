@@ -44,7 +44,8 @@ object ModelCodec {
   /** Decode a model file. Every length is checked against the bytes left
     * before it is used, so a corrupt or hostile file costs at most its own
     * size; any malformed input, trailing bytes included, is an
-    * `IllegalArgumentException` starting "corrupt model file:".
+    * `IllegalArgumentException` starting "corrupt model file:". So is a
+    * parent id that is neither −1 nor a loaded id, and a parent cycle.
     */
   def deserialize(bytes: Array[Byte]): TemplateModel = {
     val in = new DataInputStream(new ByteArrayInputStream(bytes))
@@ -62,10 +63,36 @@ object ModelCodec {
         TemplateNode(id, parent, GroupKey(numTokens, prefix), template, sat, eff, depth, count, temp)
       }
       check(in.available() == 0, s"${in.available()} trailing bytes")
-      try new TemplateModel(nodes)
-      catch { case e: IllegalArgumentException => throw corrupt(e.getMessage) }
+      val model =
+        try new TemplateModel(nodes)
+        catch { case e: IllegalArgumentException => throw corrupt(e.getMessage) }
+      checkParents(model)
+      model
     } catch {
       case _: EOFException => throw corrupt("truncated")
+    }
+  }
+
+  /** Every parent id is −1 or a loaded id, and every parent chain reaches a
+    * root. Each node is walked up once in all: a walk stops at a node an
+    * earlier walk has shown to reach a root, and reaching a node of its own
+    * walk again is a cycle.
+    */
+  private def checkParents(model: TemplateModel): Unit = {
+    val ix = model.resolveIndex
+    ix.node.indices.foreach { p =>
+      val n = ix.node(p)
+      check(n.parentId == -1 || ix.parent(p) >= 0, s"node ${n.id} has unknown parent id ${n.parentId}")
+    }
+    val OnWalk: Byte = 1
+    val ReachesRoot: Byte = 2
+    val state = new Array[Byte](ix.node.length)
+    ix.node.indices.foreach { start =>
+      var p = start
+      while (p >= 0 && state(p) == 0) { state(p) = OnWalk; p = ix.parent(p) }
+      check(p < 0 || state(p) == ReachesRoot, s"parent cycle through node ${ix.node(p).id}")
+      p = start
+      while (p >= 0 && state(p) == OnWalk) { state(p) = ReachesRoot; p = ix.parent(p) }
     }
   }
 

@@ -53,7 +53,9 @@ object Harness {
     val pred = resultRef.get()
     if (pred == null) {
       if (errorRef.get() != null) throw errorRef.get()
-      // timed out — abandon the daemon thread
+      // timed out: interrupt the worker, so a parser that checks for
+      // interruption stops instead of sharing the cores with later timings
+      worker.interrupt()
       MethodResult(parser.name, ds.name, ga = 0.0, seconds = seconds,
         adjustedSeconds = seconds, numLogs = ds.numLogs, finished = false)
     } else {

@@ -136,6 +136,12 @@ class BaselineSpec extends AnyFunSuite {
     assert(m.parse(simple).length == 1)
   }
 
+  test("LogSig stops with an InterruptedException when its thread is interrupted") {
+    Thread.currentThread().interrupt()
+    try assertThrows[InterruptedException](new LogSig(k = 3).parse(input))
+    finally assert(!Thread.interrupted(), "LogSig left the interrupt flag set") // clears it either way
+  }
+
   test("ByteBrain keeps token-less lines at group -1") {
     val mixed = IndexedSeq("job 1 ok", "", "job 2 ok", "   ", "job 3 ok")
     val pred = new ByteBrainParser().parse(ParseInput(mixed, mixed.map(_.split(" ")), None))

@@ -112,6 +112,87 @@ class ModelCodecSpec extends AnyFunSuite {
     assert(result.passed, result.status.toString)
   }
 
+  /** Byte offset of every node's parent id in `bytes`, a well-formed file. */
+  private def parentOffsets(bytes: Array[Byte]): IndexedSeq[Int] = {
+    val b = ByteBuffer.wrap(bytes)
+    var at = 12 // magic, version, node count
+    def skipStrings(): Unit = {
+      val k = b.getInt(at); at += 4
+      (0 until k).foreach(_ => at += 4 + b.getInt(at))
+    }
+    (0 until b.getInt(8)).map { _ =>
+      val parent = at + 4
+      at += 4 + 4 + 4 + 8 + 8 + 8 + 1 + 4 // id … numTokens
+      skipStrings() // prefix
+      skipStrings() // template
+      parent
+    }
+  }
+
+  /** Whether every parent id of `nodes` is −1 or one of their ids and every
+    * parent chain reaches a root, by walking each chain for at most
+    * `nodes.size` steps.
+    */
+  private def parentsSound(nodes: IndexedSeq[TemplateNode]): Boolean = {
+    val parentOf = nodes.map(n => n.id -> n.parentId).toMap
+    nodes.forall(n => n.parentId == -1 || parentOf.contains(n.parentId)) &&
+      nodes.forall { n =>
+        Iterator.iterate(n.id)(parentOf).take(nodes.size + 1).contains(-1)
+      }
+  }
+
+  test("a dangling parent id or a parent cycle is a corrupt model file") {
+    def bytesOf(parents: (Int, Int)*): Array[Byte] = ModelCodec.serialize(new TemplateModel(
+      parents.map { case (id, parent) => node(id, parent, Seq("t", id.toString), 1.0, 0) }.toVector))
+    assert(ModelCodec.deserialize(bytesOf(0 -> -1, 1 -> 0, 2 -> 1)).size == 3)
+    assert(corruptMessage(bytesOf(0 -> -1, 1 -> 7)).exists(_.contains("node 1 has unknown parent id 7")))
+    assert(corruptMessage(bytesOf(0 -> -5)).exists(_.contains("unknown parent id -5")))
+    assert(corruptMessage(bytesOf(0 -> 0)).exists(_.contains("parent cycle")))
+    assert(corruptMessage(bytesOf(0 -> -1, 1 -> 3, 2 -> 1, 3 -> 2)).exists(_.contains("parent cycle")))
+    assert(corruptMessage(bytesOf(5 -> 6, 6 -> 5, 0 -> -1)).exists(_.contains("parent cycle")))
+  }
+
+  test("rewired parent ids decode exactly when every chain reaches a root (ScalaCheck)") {
+    val nodes = ModelCodec.deserialize(trained).nodes
+    val offsets = parentOffsets(trained)
+    val ids = nodes.map(_.id)
+    val parentIds = Gen.frequency(
+      1 -> Gen.const(-1),
+      4 -> Gen.oneOf(ids),
+      1 -> Gen.choose(-3, ids.max + 3),
+      1 -> Gen.choose(Int.MinValue, Int.MaxValue),
+    )
+    val rewirings = Gen.choose(1, 3).flatMap(k => Gen.listOfN(k, Gen.zip(Gen.choose(0, nodes.size - 1), parentIds)))
+    val prop = Prop.forAll(rewirings) { rewired =>
+      val bytes = rewired.foldLeft(trained) { case (b, (i, parent)) => withInt(b, offsets(i), parent) }
+      val expected = rewired.foldLeft(nodes) { case (ns, (i, parent)) => ns.updated(i, ns(i).copy(parentId = parent)) }
+      val sound = parentsSound(expected)
+      corruptMessage(bytes) match {
+        case None      => (sound && ModelCodec.deserialize(bytes).nodes == expected) :| s"$rewired decoded"
+        case Some(msg) => !sound :| s"$rewired rejected: $msg"
+      }
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(Seed(23L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status.toString)
+  }
+
+  test("trained, merged and temporary-bearing models round-trip") {
+    val c = ByteBrainConfig()
+    val lines = Datasets.loghub("OpenSSH").lines
+    val (older, newer) = lines.splitAt(lines.size / 2)
+    val oldModel = ByteBrain.trainLocal(older, c, parallelism = 1)
+    val merged = Merge.merge(oldModel, ByteBrain.trainLocal(newer, c, parallelism = 1), c)
+    val session = new OnlineMatcher(oldModel)
+    (Seq("novel line never trained", "another novel line here x") ++ newer.take(200))
+      .foreach(l => session.matchOrInsert(ByteBrain.preprocess(l, c, new Tokenizer(c.tokenizerRegex))))
+    val withTemporaries = session.modelWithTemporaries
+    assert(withTemporaries.nodes.exists(_.temporary))
+    Seq(oldModel, merged, withTemporaries, Merge.merge(withTemporaries, merged, c)).foreach { m =>
+      assert(ModelCodec.deserialize(ModelCodec.serialize(m)).nodes == m.nodes)
+    }
+  }
+
   test("UTF-8 template tokens survive") {
     val back = ModelCodec.deserialize(ModelCodec.serialize(model))
     assert(back.byId(2).template == IndexedSeq("uni", "код", "日志"))

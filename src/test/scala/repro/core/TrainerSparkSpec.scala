@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, IntegerType, StringType, StructField, StructType}
 
 import repro.{Oracle, SparkSpec}
 import repro.eval.GroupingAccuracy
@@ -73,6 +74,45 @@ class TrainerSparkSpec extends SparkSpec {
     assert(matched.count() == ds.numLogs)
     val sats = matched.select(min($"saturation"), max($"saturation")).head()
     assert(sats.getDouble(0) >= 0.0 && sats.getDouble(1) <= 1.0)
+  }
+
+  test("matchDf equals CompiledMatcher.matchTokens row by row, over 1 and 7 partitions") {
+    val model = ByteBrain.trainLocal(ds.lines.take(4000), cfg)
+    // heavy duplication, token-less and non-ASCII lines, and held-out lines:
+    // HDFS lines past the trained ones, other topics' lines, a novel length
+    val base = ds.lines.take(300) ++ ds.lines.drop(4000).take(300) ++ Datasets.loghub("Linux").lines.take(100) ++
+      Seq(null, "", " \t ", "   ", "блок 日志 écrit 42", "PacketResponder 1 for block 日志 terminating",
+        Seq.fill(60)("novel").mkString(" "))
+    val lines = (0 until 20000).map(i => base((i * 7919L % base.size).toInt)) ++ base
+    val matcher = new CompiledMatcher(model)
+    val tokenizer = new Tokenizer(cfg.tokenizerRegex)
+    val expected: Map[String, (Int, Double, String)] = base.distinct.map { line =>
+      line -> (matcher.matchTokens(ByteBrain.preprocess(line, cfg, tokenizer)) match {
+        case Some(n) => (n.id, n.effectiveSaturation, n.templateText)
+        case None    => (-1, 0.0, null: String)
+      })
+    }.toMap
+    assert(expected.values.count(_._1 < 0) > 10)
+    assert(expected.values.count(_._1 >= 0) > 100)
+
+    val schema = StructType(Seq(
+      StructField("message", StringType), StructField("template_id", IntegerType),
+      StructField("saturation", DoubleType), StructField("template", StringType)))
+    val df = lines.toDF("message")
+    Seq(df.repartition(1), df.repartition(7)).foreach { in =>
+      val matched = ByteBrain.matchDf(spark, model, in, cfg)
+      assert(matched.schema == schema)
+      val rows = matched.collect()
+      assert(rows.length == lines.length)
+      assert(rows.map(_.getString(0)).groupBy(identity).map { case (k, v) => k -> v.length } ==
+        lines.groupBy(identity).map { case (k, v) => k -> v.length })
+      rows.foreach { r =>
+        val got = (r.getInt(1), r.getDouble(2), r.getString(3))
+        assert(got == expected(r.getString(0)), s"line ${r.getString(0)}")
+      }
+    }
+    assert(ByteBrain.queryDf(spark, model, ByteBrain.matchDf(spark, model, df, cfg), 0.9).schema ==
+      schema.add("query_template_id", IntegerType).add("query_template", StringType))
   }
 
   test("match counts per template match DuckDB") {

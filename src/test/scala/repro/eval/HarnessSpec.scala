@@ -32,6 +32,25 @@ class HarnessSpec extends AnyFunSuite {
     assert(r.ga == 0.0)
   }
 
+  /** Spins until its thread is interrupted, recording that thread. */
+  private final class Spinner extends LogParser {
+    @volatile var thread: Thread = _
+    override def name = "Spinner"
+    override def parse(input: ParseInput): Array[Int] = {
+      thread = Thread.currentThread()
+      while (!Thread.interrupted()) {}
+      throw new InterruptedException("Spinner interrupted")
+    }
+  }
+
+  test("evaluate interrupts a worker that exceeds the time box, which then ends") {
+    val p = new Spinner
+    val r = Harness.evaluate(p, ds, timeoutSec = 1)
+    assert(!r.finished)
+    p.thread.join(5000)
+    assert(!p.thread.isAlive)
+  }
+
   /** Sleeps `millis(k)` ms on its k-th parse, counting parses. */
   private final class Paced(millis: Int*) extends LogParser {
     @volatile var calls = 0
