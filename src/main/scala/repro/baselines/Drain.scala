@@ -47,7 +47,8 @@ final class Drain(depth: Int = 4, st: Double = 0.4, maxChildren: Int = 100) exte
       var best: Group = null
       var bestSim = -1.0
       groups.foreach { g =>
-        val sim = simWithWildcard(g.template, toks)
+        // Drain's simSeq: a template wildcard counts toward the length only
+        val sim = seqSim(g.template, toks)
         if (sim > bestSim) { bestSim = sim; best = g }
       }
       if (best != null && bestSim >= st) {
@@ -62,16 +63,5 @@ final class Drain(depth: Int = 4, st: Double = 0.4, maxChildren: Int = 100) exte
       li += 1
     }
     out
-  }
-
-  /** Drain's simSeq: wildcard positions in the template don't count toward
-    * the numerator but do toward the denominator.
-    */
-  private def simWithWildcard(tpl: Array[String], log: Array[String]): Double = {
-    if (tpl.length != log.length) return 0.0
-    if (tpl.length == 0) return 1.0
-    var same = 0; var i = 0
-    while (i < tpl.length) { if (tpl(i) == log(i)) same += 1; i += 1 }
-    same.toDouble / tpl.length
   }
 }

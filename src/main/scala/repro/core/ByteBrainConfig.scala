@@ -21,6 +21,8 @@ package repro.core
   *                           compile and use no look-around or backreference
   *                           ([[Tokenizer.hasForbiddenConstruct]]), checked here
   *                           rather than on the first line an executor replaces
+  * @param tokenizerRegex     delimiter regex of the topic's [[Tokenizer]] (§4.1.1); checked
+  *                           the same way, by building a tokenizer here
   */
 final case class ByteBrainConfig(
     stopThreshold: Double = 1.0,
@@ -43,4 +45,5 @@ final case class ByteBrainConfig(
     require(!Tokenizer.hasForbiddenConstruct(p),
       s"look-around/backreference constructs are not allowed in variable pattern $name: $p")
   CommonVariables.compiled(variablePatterns)
+  new Tokenizer(tokenizerRegex)
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.regex.Pattern
+import java.util.regex.{Pattern, PatternSyntaxException}
 
 import scala.collection.mutable
 
@@ -27,7 +27,11 @@ final class Tokenizer(delimiterRegex: String = Tokenizer.DefaultDelimiters) exte
 
   /** `None` for the default regex, which the scanner implements. */
   private val pattern: Option[Pattern] =
-    if (delimiterRegex == Tokenizer.DefaultDelimiters) None else Some(Pattern.compile(delimiterRegex))
+    if (delimiterRegex == Tokenizer.DefaultDelimiters) None
+    else try Some(Pattern.compile(delimiterRegex)) catch {
+      case e: PatternSyntaxException =>
+        throw new IllegalArgumentException(s"topic tokenizer does not compile: $delimiterRegex", e)
+    }
 
   /** Split one raw log message into its token sequence (no empty tokens). */
   def tokenize(message: String): Array[String] = pattern match {

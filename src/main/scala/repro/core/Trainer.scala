@@ -3,11 +3,13 @@ package repro.core
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.HashPartitioner
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** Flat, Encoder-friendly form of a template node emitted by executors;
-  * ids are local to the initial group and re-based globally on the driver.
+/** One node of a group's tree, as [[Trainer.trainGroup]] returns it and
+  * [[Trainer.assemble]] takes it: ids are local to the initial group and
+  * re-based globally by `assemble`. perfbench builds these too.
   */
 final case class LocalNode(
     groupLen: Int,
@@ -24,19 +26,25 @@ final case class LocalNode(
 /** Offline training (paper §3 "Offline Training", §4.1–4.7): the training
   * core shared by both drivers, and the Spark driver.
   *
-  * Both drivers deduplicate raw lines, preprocess only the unique lines into
-  * (tokens, count) rows, group the rows by [[groupKey]], run [[trainGroup]] on
-  * every group and [[assemble]] the nodes. The Spark dataflow:
+  * Both drivers run the same steps: deduplicate raw lines, preprocess only
+  * the unique lines into (tokens, count) rows, group the rows by
+  * [[groupKey]], split the sampling cap across the groups by [[groupQuotas]],
+  * run [[trainGroup]] on every group and [[assemble]] the nodes. The Spark
+  * dataflow:
   *
   *  1. raw-line deduplication — `groupBy(message).count()` (§4.1.3), the
   *     first shuffle;
   *  2. common variable replacement + tokenization of the unique lines —
-  *     `mapPartitions` with one [[Tokenizer]] per partition (§4.1.1–4.1.2);
-  *  3. initial grouping by (token count, k-token prefix) — `groupByKey`
-  *     (§4.2), the second shuffle;
-  *  4. [[trainGroup]] inside `flatMapGroups` — groups are independent, so
-  *     Spark parallelizes them across cores exactly as §3 "Parallel" describes;
-  *  5. the collected nodes are re-based to global ids by [[assemble]].
+  *     `mapPartitions` with one [[Tokenizer]] per partition (§4.1.1–4.1.2),
+  *     each row keyed by its initial group (§4.2);
+  *  3. `partitionBy` the group key — the second and last shuffle;
+  *  4. the group totals — `reduceByKey` on that partitioning, collected for
+  *     [[groupQuotas]];
+  *  5. [[trainGroup]] on every group — `groupByKey` on the same
+  *     partitioning, so this job reads the shuffle output step 4 wrote;
+  *     groups are independent, so Spark parallelizes them across cores
+  *     exactly as §3 "Parallel" describes;
+  *  6. the collected nodes are re-based to global ids by [[assemble]].
   *
   * A topic over `cfg.sampleMaxLogs` lines is sampled down to exactly that
   * many to bound memory (§3): [[groupQuotas]] splits the cap across groups,
@@ -46,37 +54,19 @@ object Trainer {
 
   def train(spark: SparkSession, logs: DataFrame, cfg: ByteBrainConfig,
             messageCol: String = "message"): TemplateModel = {
-    import spark.implicits._
-
-    val raw: Dataset[(String, Long)] =
-      if (cfg.dedup) logs.groupBy(col(messageCol)).count().as[(String, Long)]
-      else logs.select(col(messageCol), lit(1L)).as[(String, Long)]
-
-    val rows: Dataset[(Seq[String], Long)] = raw.mapPartitions { it =>
+    val raw =
+      if (cfg.dedup) logs.groupBy(col(messageCol)).count()
+      else logs.select(col(messageCol), lit(1L))
+    val partitioner = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
+    val rows = raw.rdd.mapPartitions { it =>
       val tokenizer = new Tokenizer(cfg.tokenizerRegex)
-      it.map { case (line, cnt) => (ByteBrain.preprocess(line, cfg, tokenizer).toSeq, cnt) }
-        .filter(_._1.nonEmpty)
-    }
-
-    // the input line count bounds the trainable one: per-group totals are
-    // only needed when it exceeds the cap
-    val quotas: Option[Map[GroupKey, Long]] =
-      if (logs.count() <= cfg.sampleMaxLogs) None
-      else {
-        val totals = rows.groupByKey(r => groupKey(r._1, cfg)).mapValues(_._2).reduceGroups(_ + _)
-        Some(groupQuotas(totals.collect().toSeq, cfg))
-      }
-
-    val localNodes: Seq[LocalNode] = rows
-      .groupByKey(r => groupKey(r._1, cfg))
-      .flatMapGroups { (key: GroupKey, it: Iterator[(Seq[String], Long)]) =>
-        val quota = quotas.fold(Long.MaxValue)(_.getOrElse(key, 0L))
-        trainGroup(key, it.map { case (t, c) => (t.toArray, c) }, quota, cfg)
-      }
-      .collect()
-      .toSeq
-
-    assemble(localNodes)
+      it.map(r => (ByteBrain.preprocess(r.getString(0), cfg, tokenizer), r.getLong(1)))
+        .collect { case row @ (t, _) if t.nonEmpty => (groupKey(ArraySeq.unsafeWrapArray(t), cfg), row) }
+    }.partitionBy(partitioner)
+    val quotas = groupQuotas(rows.mapValues(_._2).reduceByKey(partitioner, _ + _).collect().toSeq, cfg)
+    assemble(rows.groupByKey(partitioner)
+      .flatMap { case (key, rs) => trainGroup(key, rs.iterator, quotas.getOrElse(key, 0L), cfg) }
+      .collect().toSeq)
   }
 
   /** Initial-grouping key of a token sequence (§4.2). */

@@ -155,6 +155,12 @@ class ByteBrainLocalSpec extends AnyFunSuite {
     assert(ok.variablePatterns.size == 1)
   }
 
+  test("config validation rejects a tokenizer regex with look-around, backreferences or bad syntax") {
+    for (r <- Seq("(?=a)", raw"(?<!\s)\s", raw"([,;])\1", raw"(?<d>[,;])\k<d>", "[", raw"(\s+"))
+      assert(intercept[IllegalArgumentException](ByteBrainConfig(tokenizerRegex = r)).getMessage.contains(r), r)
+    assert(ByteBrainConfig(tokenizerRegex = "[|]+").tokenizerRegex == "[|]+")
+  }
+
   /** A batch with exactly `uniques` distinct raw lines: three token-less
     * ones (null, empty, whitespace-only) and the rest from four templates,
     * with some lines repeated.

@@ -56,6 +56,29 @@ class TrainerSparkSpec extends SparkSpec {
     }
   }
 
+  test("Spark training equals local training over any input and shuffle partitioning") {
+    val lines = ds.lines ++ Seq(null, "", " \t ")
+    val df = lines.toDF("message")
+    val key = "spark.sql.shuffle.partitions"
+    val shufflePartitions = spark.conf.get(key)
+    try {
+      for (c <- Seq(cfg, cfg.copy(sampleMaxLogs = 500), cfg.copy(dedup = false))) {
+        val local = ModelCodec.serialize(ByteBrain.trainLocal(lines, c))
+        for (shuffle <- Seq(1, 7); in <- Seq(1, 7)) {
+          spark.conf.set(key, shuffle.toLong)
+          assert(ModelCodec.serialize(Trainer.train(spark, df.repartition(in), c)) sameElements local,
+            s"$c, $in input partitions, $shuffle shuffle partitions")
+        }
+      }
+    } finally spark.conf.set(key, shufflePartitions)
+  }
+
+  test("an empty frame trains the empty model") {
+    val model = Trainer.train(spark, Seq.empty[String].toDF("message"), cfg)
+    assert(model.nodes.isEmpty)
+    assert(ModelCodec.serialize(model) sameElements ModelCodec.serialize(ByteBrain.trainLocal(Nil, cfg)))
+  }
+
   test("both drivers drop null, empty and whitespace-only lines") {
     val lines = ds.lines.take(2000)
     val noisy = (lines.take(100) :+ null :+ "" :+ " \t ") ++ lines.drop(100) :+ null
