@@ -80,15 +80,20 @@ class CommonVariablesSpec extends AnyFunSuite {
     * `\b` anchors and the list order both matter. Hex runs straddle the
     * 32-char md5 length, alone and cut by a variable an earlier pattern
     * replaces; `0x` comes whole, split around a UUID, and at either end; the
-    * non-ASCII digits are ones `\d` does not match.
+    * non-ASCII digits are ones `\d` does not match. Combining marks (U+0301)
+    * and non-ASCII letters next to a variable pin the running JVM's
+    * Unicode-aware `\b`, which the anchored search leaves to the regex.
     */
   private val messages: Gen[String] = {
     // a quarter of the hex variables hold no decimal digit
     val hexAlphabet = Gen.frequency(3 -> Gen.hexChar, 1 -> Gen.oneOf("abcdefABCDEF"))
     def hexN(n: Int) = hexAlphabet.flatMap(Gen.listOfN(n, _)).map(_.mkString)
     val d2 = Gen.choose(0, 99).map(i => f"$i%02d")
-    val ip = for { os <- Gen.listOfN(4, Gen.choose(0, 999)); port <- Gen.option(Gen.choose(0, 99999)) }
-      yield os.mkString(".") + port.fold("")(":" + _)
+    // octets and ports run past 3 and 5 digits now and then: 1.2.3.4567, 999.999.999.999:123456
+    val ip = for {
+      os <- Gen.listOfN(4, Gen.frequency(9 -> Gen.choose(0, 999), 1 -> Gen.choose(1000, 99999)))
+      port <- Gen.option(Gen.frequency(9 -> Gen.choose(0, 99999), 1 -> Gen.choose(100000, 9999999)))
+    } yield os.mkString(".") + port.fold("")(":" + _)
     val uuid = hexAlphabet.flatMap(h => Gen.sequence[List[String], String](
       List(8, 4, 4, 4, 12).map(Gen.listOfN(_, h).map(_.mkString))).map(_.mkString("-")))
     val mac = hexAlphabet.flatMap(h => Gen.listOfN(6, Gen.listOfN(2, h).map(_.mkString))).map(_.mkString(":"))
@@ -105,13 +110,20 @@ class CommonVariablesSpec extends AnyFunSuite {
     val zeroUuidX = uuid.map("0" + _ + "x")
     val text = Gen.oneOf("a", "x1", "u42", "id", "0", "42", "-", "_", ".", ":", "/", " ", "T", "Z", "+", "=", W,
       "ab", "cafe", "é", "\u0663", "\u0660", "\uFF11", "0x", "x", "0")
+    // a combining mark on either side, or a word character glued to the left
+    val glued = for {
+      v <- Gen.oneOf(ip, uuid, hexRun, mac, hexLit, ts)
+      l <- Gen.oneOf("\u0301", "a\u0301", " \u0301", "_", "g", "Z", "é")
+      r <- Gen.oneOf("", "\u0301", "_")
+    } yield l + v + r
     val piece = Gen.frequency(4 -> text, 1 -> ip, 1 -> uuid, 1 -> hexRun, 1 -> cutRun, 1 -> mac, 1 -> hexLit,
-      1 -> ts, 1 -> zeroUuidX)
+      1 -> ts, 1 -> zeroUuidX, 2 -> glued)
     Gen.choose(0, 12).flatMap(Gen.listOfN(_, piece)).map(_.mkString)
   }
 
-  /** The same strings, most of them stripped of one feature character the
-    * gate in `replace` looks for, so each gate is exercised on both sides.
+  /** The same strings, most of them stripped of one character an anchor in
+    * `replace` looks for, so each candidate search also runs where it finds
+    * nothing.
     */
   private val gatedMessages: Gen[String] = {
     val strip = Gen.oneOf("", "0123456789", "-", ":", ".", "x", "0")
@@ -144,8 +156,8 @@ class CommonVariablesSpec extends AnyFunSuite {
 
   test("replace equals String.replaceAll pattern by pattern, defaults reordered and renamed (ScalaCheck)") {
     val regex = CommonVariables.defaultPatterns.toMap
-    // a user pattern first, then defaults under other names, with an
-    // ungated pattern between them that can eat what a later default needs
+    // a user pattern first, then defaults under other names, with a
+    // non-default pattern between them that can eat what a later default needs
     val custom = Seq(
       "dashed-word" -> raw"\b[a-z]+-[a-z0-9]+\b",
       "addr" -> regex("ipv4"),
@@ -160,11 +172,37 @@ class CommonVariablesSpec extends AnyFunSuite {
   }
 
   test("a default regex is gated by its text, under any name; other regexes always run") {
+    // the gate is the anchored candidate search; any other regex, a near-default one included, runs replaceAll
     val d = CommonVariables.compiled(CommonVariables.defaultPatterns)
-    val renamed = CommonVariables.compiled(Seq("x" -> raw"\d+") ++
+    val ipv4 = CommonVariables.defaultPatterns.toMap.apply("ipv4")
+    val renamed = CommonVariables.compiled(Seq("x" -> raw"\d+", "near-ipv4" -> ipv4.stripSuffix(raw"\b")) ++
       CommonVariables.defaultPatterns.map { case (n, p) => s"my-$n" -> p })
-    assert(d.needs.forall(_ != 0))
-    assert(renamed.needs.toSeq == 0 +: d.needs.toSeq)
+    assert(d.anchors.forall(_ >= 0) && d.anchors.distinct.length == d.anchors.length)
+    assert(renamed.anchors.toSeq == Seq(-1, -1) ++ d.anchors.toSeq)
+  }
+
+  test("a renamed default regex takes the anchored path, a wrapped one replaceAll, with the same \\b") {
+    val ipv4 = CommonVariables.defaultPatterns.toMap.apply("ipv4")
+    val anchored = Seq("addr" -> ipv4)
+    val plain = Seq("addr" -> s"(?:$ipv4)")
+    assert(CommonVariables.compiled(anchored).anchors.head >= 0)
+    assert(CommonVariables.compiled(plain).anchors.toSeq == Seq(-1))
+    // a combining mark with no letter before it does not block the address; a mark after it, or a letter,
+    // digit or `_` glued to its left, does; an octet or port that runs over is not cut short
+    val cases = Seq(
+      "at 1.2.3.4 ok" -> s"at $W ok",
+      "\u03011.2.3.4" -> s"\u0301$W",
+      "a\u03011.2.3.4" -> "a\u03011.2.3.4",
+      "1.2.3.4\u0301" -> "1.2.3.4\u0301",
+      "\u00e91.2.3.4 _1.2.3.4 \u06611.2.3.4" -> "\u00e91.2.3.4 _1.2.3.4 \u06611.2.3.4",
+      "1.2.3.4567" -> "1.2.3.4567",
+      "999.999.999.999:123456" -> s"$W:123456",
+      "1234.5.6.7.8" -> s"1234.$W")
+    cases.foreach { case (m, want) =>
+      assert(reference(m, anchored) == want, m)
+      assert(CommonVariables.replace(m, anchored) == want, m)
+      assert(CommonVariables.replace(m, plain) == want, m)
+    }
   }
 
   test("lists are compiled once each, and equal lists share the compiled patterns") {

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.{Callable, CountDownLatch, Executors, TimeUnit}
+
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
@@ -80,6 +82,12 @@ class MatcherSpec extends AnyFunSuite {
     assert(om.modelWithTemporaries.size == model.size)
   }
 
+  test("OnlineMatcher rejects a log without tokens and inserts nothing") {
+    val om = new OnlineMatcher(model)
+    intercept[IllegalArgumentException](om.matchOrInsert(Array.empty[String]))
+    assert(om.modelWithTemporaries.size == model.size)
+  }
+
   test("matched hits do not create temporaries") {
     val om = new OnlineMatcher(model)
     om.matchOrInsert(Array("get", "a", "done"))
@@ -135,5 +143,71 @@ class MatcherSpec extends AnyFunSuite {
     val params = Test.Parameters.default.withMinSuccessfulTests(24).withInitialSeed(Seed(31L))
     val result = Test.check(params, prop)
     assert(result.passed, result.status.toString)
+  }
+
+  /** A model of `n` wildcard templates of one length over a 4-word vocabulary,
+    * with tied saturations and depths (so ids break ties) and a share of
+    * all-wildcard templates, and logs of that length: templates with their
+    * wildcards filled (some with the literal `<*>`) and random token rows.
+    */
+  private def synthetic(n: Int): Gen[(TemplateModel, Seq[Array[String]])] = {
+    val vocab = Gen.oneOf("a", "b", "c", "d")
+    val logToken = Gen.frequency(8 -> vocab, 1 -> Gen.const(W))
+    for {
+      len <- Gen.choose(1, 7)
+      templates <- Gen.listOfN(n, Gen.frequency(
+        1 -> Gen.const(Seq.fill(len)(W)),
+        9 -> Gen.zip(Gen.listOfN(len, Gen.frequency(3 -> vocab, 2 -> Gen.const(W))), Gen.choose(0, len - 1))
+          .map { case (ts, p) => if (ts.contains(W)) ts else ts.updated(p, W) }))
+      sats <- Gen.listOfN(n, Gen.oneOf(0.5, 0.8, 1.0))
+      depths <- Gen.listOfN(n, Gen.choose(0, 2))
+      filled = Gen.oneOf(templates).flatMap(t => Gen.sequence[List[String], String](
+        t.map(x => if (x == W) logToken else Gen.const(x))))
+      logs <- Gen.listOfN(300, Gen.frequency(3 -> filled, 1 -> Gen.listOfN(len, logToken)))
+    } yield {
+      val nodes = templates.indices.map(i => node(i, -1, templates(i), sats(i), depths(i)))
+      (new TemplateModel(nodes.toVector), logs.map(_.toArray))
+    }
+  }
+
+  test("matchTokens equals a linear scan on 63, 64, 65, 128 and 129 wildcard templates of one length (ScalaCheck)") {
+    var pastFirstWord = 0 // matches the scan finds after the 64th template
+    val prop = Prop.forAllNoShrink(Gen.oneOf(63, 64, 65, 128, 129).flatMap(synthetic)) { case (m, logs) =>
+      val matcher = new CompiledMatcher(m)
+      val order = m.byLength.values.flatten.toSeq
+      val disagreements = logs.filter { t =>
+        val want = linearScan(m, t)
+        if (want.exists(w => order.indexOf(w) >= 64)) pastFirstWord += 1
+        matcher.matchTokens(t).map(_.id) != want.map(_.id)
+      }
+      disagreements.isEmpty :| disagreements.take(3).map(_.mkString(" ")).mkString("; ")
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(60).withInitialSeed(Seed(37L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status.toString)
+    assert(pastFirstWord > 0)
+  }
+
+  test("one CompiledMatcher shared by 4 threads gives each thread the serial answers") {
+    val (m, logs) = synthetic(129).pureApply(Gen.Parameters.default, Seed(41L))
+    val matcher = new CompiledMatcher(m)
+    val serial = logs.map(matcher.matchTokens(_).map(_.id))
+    val pool = Executors.newFixedThreadPool(4)
+    try {
+      val start = new CountDownLatch(1)
+      val threads = (0 until 4).map { t =>
+        pool.submit(new Callable[Boolean] {
+          def call(): Boolean = {
+            start.await()
+            (0 until 1000 * logs.length).forall { k =>
+              val i = (k + 77 * t) % logs.length
+              matcher.matchTokens(logs(i)).map(_.id) == serial(i)
+            }
+          }
+        })
+      }
+      start.countDown()
+      assert(threads.forall(_.get(120, TimeUnit.SECONDS)))
+    } finally pool.shutdownNow()
   }
 }
