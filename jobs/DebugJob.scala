@@ -44,11 +44,10 @@ object DebugJob {
           case _ => "<VAR>"
         }.mkString(" ")}")
         groups.toSeq.sortBy(-_._2).take(5).foreach { case (g, c) =>
-          val node = model.byId.get(g)
-          val text = node.map(_.templateText).getOrElse("?")
-          val sat = node.map(_.effectiveSaturation).getOrElse(-1.0)
+          val node = model.byId(g)
           val others = groupToTruths(g).size - 1
-          println(f"    group $g ($c logs, sat=$sat%.3f, +$others other truths): $text")
+          println(f"    group $g ($c logs, sat=${node.effectiveSaturation}%.3f, +$others other truths): " +
+            node.templateText)
           if (args.length > 3 && args(3) == "chain") {
             model.ancestry(g).foreach { a =>
               println(f"        chain ${a.id}%5d d=${a.depth} sat=${a.saturation}%.3f " +

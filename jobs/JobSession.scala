@@ -8,7 +8,7 @@ import org.apache.spark.sql.SparkSession
   */
 object JobSession {
   def create(appName: String): SparkSession = {
-    val builder = SparkSession.builder.appName(appName)
+    val builder = SparkSession.builder().appName(appName)
       .config("spark.ui.enabled", value = false)
     val withMaster =
       if (sys.props.contains("spark.master") || sys.env.contains("SPARK_MASTER_URL")) builder

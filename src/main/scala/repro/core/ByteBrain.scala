@@ -168,7 +168,7 @@ object ByteBrain {
     val tokenizer = new Tokenizer(cfg.tokenizerRegex)
     val memo = new MatchMemo(msg => bc.value.matchTokens(preprocess(msg, cfg, tokenizer)).fold(-1)(_.id))
     val matchUdf = udf((msg: String) => memo(msg))
-    val nodes = model.resolveIndex.node
+    val nodes = model.nodeAt
     val id = col("template_id")
     logs.withColumn("template_id", matchUdf(col(messageCol)))
       .withColumn("saturation", byTemplateId(spark, model, nodes.map(n => Double.box(n.effectiveSaturation)),
@@ -184,7 +184,7 @@ object ByteBrain {
     */
   def queryDf(spark: SparkSession, model: TemplateModel, matched: DataFrame,
               threshold: Double): DataFrame = {
-    val resolved = model.resolveIndex.node.map(n => Query.resolve(model, n.id, threshold))
+    val resolved = model.nodeAt.map(n => Query.resolve(model, n.id, threshold))
     val id = col("template_id")
     matched
       .withColumn("query_template_id", byTemplateId(spark, model, resolved.map(q => Int.box(q.id)),
@@ -194,21 +194,19 @@ object ByteBrain {
   }
 
   /** The column of `values(p)` for each template id in `id`, where `p` is the
-    * id's node position in `model.resolveIndex` and `values` holds one entry
+    * id's node position in `model.nodeAt` and `values` holds one entry
     * per node in that order; `none` for a negative id (no match), and a
     * `NoSuchElementException` for an id the model lacks. The id → position
     * table and `values` are broadcast, so a task only indexes them.
     */
   private def byTemplateId[A <: AnyRef : TypeTag](spark: SparkSession, model: TemplateModel,
                                                  values: Array[A], none: A)(id: Column): Column = {
-    val bc = spark.sparkContext.broadcast((model.resolveIndex.position, values))
+    val bc = spark.sparkContext.broadcast((model.positionOf, values))
     val lookup = udf { (templateId: Int) =>
       if (templateId < 0) none
       else {
         val (position, byPosition) = bc.value
-        val p = position(templateId)
-        if (p < 0) throw new NoSuchElementException(s"no template node with id $templateId")
-        byPosition(p)
+        byPosition(position.of(templateId))
       }
     }
     lookup(id)

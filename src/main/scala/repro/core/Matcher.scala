@@ -7,31 +7,30 @@ import scala.collection.mutable
   *
   * Incoming logs are matched against template *texts* — never by re-running
   * distances over the tree — in descending (effective saturation, depth) order,
-  * stopping at the first position-wise match. Fully-constant templates (no
-  * wildcard) are indexed in a hash map for O(1) exact hits; they all sit at
-  * saturation 1 and are at least as precise as any wildcard template, so the
-  * fast path preserves the §4.8 ordering semantics. The wildcard templates of
-  * each length are found through a [[WildcardIndex]] instead of one by one.
+  * stopping at the first position-wise match. The fully-constant templates
+  * ranked before every wildcard template of their length are indexed in a
+  * hash map for O(1) exact hits, which are then the first match; in a trained
+  * model that is all of them, as they sit at saturation 1. The rest of each
+  * length is found through a [[WildcardIndex]] instead of one by one.
   */
 final class CompiledMatcher(val model: TemplateModel) extends Serializable {
 
-  /** (length → exact-template lookup) for wildcard-free templates, keyed by
-    * structural `Seq` equality so a log's token array is looked up wrapped,
-    * not copied.
+  private def fullyConstant(n: TemplateNode): Boolean = !n.template.contains(CommonVariables.Wildcard)
+
+  /** (length → exact-template lookup) for the fully-constant templates that
+    * lead the length's §4.8 order, keyed by structural `Seq` equality so a
+    * log's token array is looked up wrapped, not copied.
     */
   private val exactByLength: Map[Int, Map[Seq[String], TemplateNode]] =
     model.byLength.map { case (len, ns) =>
-      len -> ns.filter(!_.template.contains(CommonVariables.Wildcard))
-        .map(n => (n.template: Seq[String]) -> n)
+      len -> ns.takeWhile(fullyConstant).map(n => (n.template: Seq[String]) -> n)
         .reverse // earlier (higher-priority) nodes win the map build
         .toMap
     }
 
-  /** (length → index over its wildcard templates in §4.8 match order). */
+  /** (length → index over the rest of its templates in §4.8 match order). */
   private val wildcardByLength: Map[Int, WildcardIndex] =
-    model.byLength.map { case (len, ns) =>
-      len -> new WildcardIndex(len, ns.filter(_.template.contains(CommonVariables.Wildcard)))
-    }
+    model.byLength.map { case (len, ns) => len -> new WildcardIndex(len, ns.dropWhile(fullyConstant)) }
 
   /** Match one tokenized log; `None` when no trained template fits. */
   def matchTokens(tokens: Array[String]): Option[TemplateNode] = {
@@ -47,12 +46,13 @@ final class CompiledMatcher(val model: TemplateModel) extends Serializable {
   }
 }
 
-/** The wildcard templates of one token count, in §4.8 match order, as
-  * bitsets over that order: for each position, the templates holding each
-  * constant there and the templates holding the wildcard there. The
-  * templates a log matches are the AND, over its positions, of
-  * `constant(token) | wildcard`, and the lowest set bit is the template a
-  * scan in that order would stop at.
+/** The templates of one token count that the exact map leaves out (its
+  * wildcard templates, and any fully-constant one ranked below the first of
+  * them), in §4.8 match order, as bitsets over that order: for each
+  * position, the templates holding each constant there and the templates
+  * holding the wildcard there. The templates a log matches are the AND, over
+  * its positions, of `constant(token) | wildcard`, and the lowest set bit is
+  * the template a scan in that order would stop at.
   */
 private final class WildcardIndex(len: Int, templates: IndexedSeq[TemplateNode]) extends Serializable {
   // a template of another length never matches a log of this one

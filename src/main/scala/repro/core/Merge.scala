@@ -12,7 +12,9 @@ import scala.collection.mutable
   * or a wildcard on either side). New leaf templates that merge into an old
   * node just add their counts there; the rest are attached as children of the
   * old group root (or the whole new group tree is adopted when the group key
-  * is unseen).
+  * is unseen). The old model's temporaries (online singletons, §3) take no
+  * part in that: one that the new model matches is dropped, the others are
+  * kept as they are.
   */
 object Merge {
 
@@ -27,10 +29,16 @@ object Merge {
     if (oldModel.nodes.isEmpty) return newModel
     if (newModel.nodes.isEmpty) return oldModel
 
-    val merged = mutable.LinkedHashMap.from(oldModel.nodes.map(n => n.id -> n))
+    // an old temporary that the new model matches is dropped: its log is learned
+    lazy val matcher = new CompiledMatcher(newModel)
+    val kept = oldModel.nodes.filter(n => !n.temporary || matcher.matchTokens(n.template.toArray).isEmpty)
+    val merged = mutable.LinkedHashMap.from(kept.map(n => n.id -> n))
     var nextId = math.max(oldModel.nextId, newModel.nextId)
 
-    val oldGroups: Map[GroupKey, IndexedSeq[TemplateNode]] = oldModel.nodes.groupBy(_.groupKey)
+    // temporaries are neither merge targets nor group roots
+    val oldGroups: Map[GroupKey, IndexedSeq[TemplateNode]] =
+      oldModel.nodes.filterNot(_.temporary).groupBy(_.groupKey)
+    val newLeaves: Map[GroupKey, IndexedSeq[TemplateNode]] = newModel.leaves.groupBy(_.groupKey)
 
     newModel.nodes.groupBy(_.groupKey).foreach { case (gk, newNodes) =>
       oldGroups.get(gk) match {
@@ -40,7 +48,7 @@ object Merge {
           newNodes.foreach { n =>
             val nn = n.copy(
               id = idMap(n.id),
-              parentId = if (n.parentId < 0) -1 else idMap(n.parentId),
+              parentId = if (n.isRoot) -1 else idMap(n.parentId),
               temporary = false,
             )
             merged.put(nn.id, nn)
@@ -49,9 +57,7 @@ object Merge {
         case Some(oldNodes) =>
           val oldRoot = oldNodes.minBy(_.depth)
           val old = new OldGroup(oldNodes)
-          val newChildren = newModel.childrenOf
-          val newLeaves = newNodes.filter(n => !newChildren.contains(n.id))
-          newLeaves.foreach { leaf =>
+          newLeaves.getOrElse(gk, Nil).foreach { leaf =>
             val (bestIndex, sim) = old.best(leaf.template)
             if (sim >= cfg.mergeThreshold) {
               val best = oldNodes(bestIndex)

@@ -14,20 +14,17 @@ object Query {
     * most precise template available).
     */
   def resolve(model: TemplateModel, nodeId: Int, threshold: Double): TemplateNode = {
-    val ix = model.resolveIndex
-    val start = ix.position(nodeId)
-    if (start < 0) throw new NoSuchElementException(s"no template node with id $nodeId")
+    val parent = model.parentAt
+    val saturation = model.saturationAt
     val min = threshold - 1e-9
     // walking up from the node, the last qualifying node seen is the coarsest
-    var best = start
-    var p = start
-    var steps = 0
+    var best = model.positionOf.of(nodeId)
+    var p = best
     while (p >= 0) {
-      if (ix.saturation(p) >= min) best = p
-      steps += 1
-      p = ix.up(p, steps)
+      if (saturation(p) >= min) best = p
+      p = parent(p)
     }
-    ix.node(best)
+    model.nodeAt(best)
   }
 
   /** Distinct display templates for a set of matched ids at a threshold,

@@ -30,7 +30,7 @@ final case class TemplateNode(
     temporary: Boolean = false,
 ) {
   def templateText: String = template.mkString(" ")
-  def isRoot: Boolean = parentId < 0
+  def isRoot: Boolean = parentId == -1
 
   /** Position-based template match (§4.8): every token must equal the
     * template token or the template token must be the wildcard.
@@ -49,16 +49,39 @@ final case class TemplateNode(
 
 /** An immutable trained model: the forest of clustering trees over all initial
   * groups, with the indices online matching and querying need.
+  *
+  * The constructor checks that the nodes form a forest, and is the only place
+  * that does: ids are distinct, every parent id is −1 or the id of another
+  * node, and every parent chain reaches a root. A model failing any check is
+  * an `IllegalArgumentException` naming the node, so every walk up a chain
+  * ends at a root.
   */
 final class TemplateModel(val nodes: IndexedSeq[TemplateNode]) extends Serializable {
-  val byId: Map[Int, TemplateNode] = nodes.map(n => n.id -> n).toMap
-  require(byId.size == nodes.size, "duplicate node ids in model")
 
-  val childrenOf: Map[Int, IndexedSeq[TemplateNode]] =
-    nodes.filter(!_.isRoot).groupBy(_.parentId).map { case (p, cs) => p -> cs.sortBy(_.id) }
+  /** The nodes as an array, each node's position in it by id, its parent's
+    * position (−1 for a root) and its effective saturation: the flat arrays
+    * [[Query]] walks parent chains over.
+    */
+  private[core] val nodeAt: Array[TemplateNode] = nodes.toArray
+  private[core] val positionOf: IdPositions = new IdPositions(nodeAt.map(_.id))
+  private[core] val parentAt: Array[Int] = nodeAt.map { n =>
+    if (n.isRoot) -1
+    else {
+      val p = positionOf(n.parentId)
+      if (p < 0) throw new IllegalArgumentException(s"node ${n.id} has unknown parent id ${n.parentId}")
+      p
+    }
+  }
+  TemplateModel.checkChains(nodeAt, parentAt)
+  private[core] val saturationAt: Array[Double] = nodeAt.map(_.effectiveSaturation)
 
-  /** Leaves = most precise templates (what online matching assigns). */
-  val leaves: IndexedSeq[TemplateNode] = nodes.filter(n => !childrenOf.contains(n.id))
+  /** The node with `id`; a `NoSuchElementException` for an unknown id. */
+  def byId(id: Int): TemplateNode = nodeAt(positionOf.of(id))
+
+  /** Leaves = most precise templates (what online matching assigns): the
+    * nodes no node names as its parent, in model order.
+    */
+  def leaves: IndexedSeq[TemplateNode] = nodes.indices.filterNot(parentAt.toSet).map(nodeAt)
 
   /** All nodes per token count in §4.8 matching order: descending effective
     * saturation, then most-specific first (fewest wildcards, greatest depth),
@@ -70,24 +93,15 @@ final class TemplateModel(val nodes: IndexedSeq[TemplateNode]) extends Serializa
         n.template.count(_ == CommonVariables.Wildcard), -n.depth, n.id))
     }
 
-  /** Query's resolution index, built on the first query or ancestry call
-    * (training, [[Merge]] and [[ModelCodec]] never pay for it) and never
-    * serialized.
-    */
-  @transient private[core] lazy val resolveIndex: ResolveIndex = new ResolveIndex(nodes)
-
   /** Ancestor chain of a node, ordered root first, the node itself last;
     * empty for an unknown id.
     */
   def ancestry(id: Int): List[TemplateNode] = {
-    val ix = resolveIndex
-    var p = ix.position(id)
+    var p = positionOf(id)
     var acc = List.empty[TemplateNode]
-    var steps = 0
     while (p >= 0) {
-      acc = ix.node(p) :: acc // prepending while walking up yields root..node
-      steps += 1
-      p = ix.up(p, steps)
+      acc = nodeAt(p) :: acc // prepending while walking up yields root..node
+      p = parentAt(p)
     }
     acc
   }
@@ -104,11 +118,30 @@ final class TemplateModel(val nodes: IndexedSeq[TemplateNode]) extends Serializa
 
 object TemplateModel {
   val empty: TemplateModel = new TemplateModel(Vector.empty)
+
+  /** Every parent chain reaches a root. Each node is walked up once in all: a
+    * walk stops at a node an earlier walk has shown to reach a root, and
+    * reaching a node of its own walk again is a cycle.
+    */
+  private def checkChains(node: Array[TemplateNode], parent: Array[Int]): Unit = {
+    val OnWalk: Byte = 1
+    val ReachesRoot: Byte = 2
+    val state = new Array[Byte](node.length)
+    node.indices.foreach { start =>
+      var p = start
+      while (p >= 0 && state(p) == 0) { state(p) = OnWalk; p = parent(p) }
+      if (p >= 0 && state(p) != ReachesRoot)
+        throw new IllegalArgumentException(s"parent cycle through node ${node(p).id}")
+      p = start
+      while (p >= 0 && state(p) == OnWalk) { state(p) = ReachesRoot; p = parent(p) }
+    }
+  }
 }
 
 /** Open-addressing `id → position` table over distinct ids, sized by their
   * count rather than by the largest id: a model file may carry any `Int` id,
-  * negative ones included. Absent ids map to −1.
+  * negative ones included. Absent ids map to −1; a repeated id is an
+  * `IllegalArgumentException`.
   */
 private[core] final class IdPositions(ids: Array[Int]) extends Serializable {
   private val mask: Int = {
@@ -121,7 +154,11 @@ private[core] final class IdPositions(ids: Array[Int]) extends Serializable {
 
   ids.indices.foreach { p =>
     var s = slot(ids(p))
-    while (positions(s) >= 0) s = (s + 1) & mask
+    while (positions(s) >= 0) {
+      if (keys(s) == ids(p))
+        throw new IllegalArgumentException(s"duplicate node ids: node ${ids(p)} occurs twice")
+      s = (s + 1) & mask
+    }
     keys(s) = ids(p)
     positions(s) = p
   }
@@ -136,26 +173,11 @@ private[core] final class IdPositions(ids: Array[Int]) extends Serializable {
     while (positions(s) >= 0 && keys(s) != id) s = (s + 1) & mask
     positions(s)
   }
-}
 
-/** A model's nodes as flat arrays for walking parent chains: each node's
-  * position by id, its parent's position (−1 for a root or a parent id absent
-  * from the model) and its effective saturation.
-  */
-private[core] final class ResolveIndex(nodes: IndexedSeq[TemplateNode]) {
-  val node: Array[TemplateNode] = nodes.toArray
-  val position: IdPositions = new IdPositions(node.map(_.id))
-  val parent: Array[Int] = node.map(n => if (n.isRoot) -1 else position(n.parentId))
-  val saturation: Array[Double] = node.map(_.effectiveSaturation)
-
-  /** Parent position of the node at `pos`, `steps` nodes into a walk up the
-    * tree. A chain has at most one node per model node, so a longer walk
-    * means the parent links form a cycle (a corrupted model).
-    */
-  def up(pos: Int, steps: Int): Int = {
-    val p = parent(pos)
-    if (p >= 0 && steps >= node.length)
-      throw new IllegalStateException(s"parent cycle through template node id ${node(pos).id}")
+  /** Position of `id`; a `NoSuchElementException` naming it when absent. */
+  def of(id: Int): Int = {
+    val p = apply(id)
+    if (p < 0) throw new NoSuchElementException(s"no template node with id $id")
     p
   }
 }

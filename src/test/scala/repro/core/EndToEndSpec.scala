@@ -39,7 +39,10 @@ class EndToEndSpec extends AnyFunSuite {
     // both old and new patterns now match non-temporary templates
     val hitOld = matcher.matchTokens(ByteBrain.preprocess("serve request 7 fast", cfg, tok))
     val hitNew = matcher.matchTokens(ByteBrain.preprocess("evict cache entry e3 cold", cfg, tok))
-    assert(hitOld.isDefined && hitNew.isDefined)
+    assert(hitOld.exists(!_.temporary) && hitNew.exists(!_.temporary))
+    // a value never seen online matches the learned template too
+    val unseen = matcher.matchTokens(ByteBrain.preprocess("evict cache entry e999 cold", cfg, tok))
+    assert(unseen.exists(n => !n.temporary && n.template.contains(CommonVariables.Wildcard)))
   }
 
   test("query threshold sweep: template count grows with the threshold (Fig 11 shape)") {

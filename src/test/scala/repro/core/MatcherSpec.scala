@@ -188,6 +188,33 @@ class MatcherSpec extends AnyFunSuite {
     assert(pastFirstWord > 0)
   }
 
+  test("matchTokens equals a linear scan when fully-constant templates rank below wildcard ones (ScalaCheck)") {
+    // a 3-word vocabulary and at most 4 tokens, so logs often equal a
+    // fully-constant template that a wildcard template outranks
+    val vocab = Gen.oneOf("a", "b", "c")
+    val models = for {
+      len <- Gen.choose(1, 4)
+      n <- Gen.choose(2, 40)
+      templates <- Gen.listOfN(n, Gen.frequency(
+        1 -> Gen.listOfN(len, vocab),
+        1 -> Gen.listOfN(len, Gen.frequency(2 -> vocab, 1 -> Gen.const(W)))))
+      sats <- Gen.listOfN(n, Gen.frequency(1 -> Gen.oneOf(0.3, 0.5, 0.9, 1.0), 1 -> Gen.choose(0.3, 1.0)))
+      depths <- Gen.listOfN(n, Gen.choose(0, 2))
+      logs <- Gen.listOfN(100, Gen.listOfN(len, vocab))
+    } yield {
+      val nodes = templates.indices.map(i => node(i, -1, templates(i), sats(i), depths(i)))
+      (new TemplateModel(nodes.toVector), logs.map(_.toArray))
+    }
+    val prop = Prop.forAllNoShrink(models) { case (m, logs) =>
+      val matcher = new CompiledMatcher(m)
+      val disagreements = logs.filter(t => matcher.matchTokens(t).map(_.id) != linearScan(m, t).map(_.id))
+      disagreements.isEmpty :| disagreements.take(3).map(_.mkString(" ")).mkString("; ")
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(Seed(43L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status.toString)
+  }
+
   test("one CompiledMatcher shared by 4 threads gives each thread the serial answers") {
     val (m, logs) = synthetic(129).pureApply(Gen.Parameters.default, Seed(41L))
     val matcher = new CompiledMatcher(m)

@@ -92,8 +92,23 @@ class MergeSpec extends AnyFunSuite {
     val retrained = new TemplateModel(Vector(
       node(0, -1, Seq("put", W, "now"), 1.0, 0, 5)))
     val merged = Merge.merge(withTemp, retrained, cfg)
-    // the retrained template is similar to the temporary (wildcard matches)
-    assert(merged.nodes.exists(n => n.template == IndexedSeq("put", "q", "now")))
+    // the retrained template matches the temporary: it replaces it
+    assert(!merged.nodes.exists(_.temporary))
+    val learned = new CompiledMatcher(merged).matchTokens(Array("put", "q", "now")).get
+    assert(learned.template == IndexedSeq("put", W, "now") && learned.count == 5 && !learned.temporary)
+  }
+
+  test("a temporary the new model does not match survives the merge") {
+    val om = new OnlineMatcher(oldModel)
+    om.matchOrInsert(Array("put", "q", "now"))
+    om.matchOrInsert(Array("zap", "q", "now"))
+    om.matchOrInsert(Array("zap", "q", "now"))
+    val withTemp = om.modelWithTemporaries
+    val retrained = new TemplateModel(Vector(
+      node(0, -1, Seq("put", W, "now"), 1.0, 0, 5)))
+    val merged = Merge.merge(withTemp, retrained, cfg)
+    assert(merged.nodes.filter(_.temporary) == withTemp.nodes.filter(_.template.head == "zap"))
+    assert(merged.nodes.filter(_.temporary).map(_.count) == Seq(2L))
   }
 
   test("two new leaves merging into one old node both add their counts") {

@@ -142,8 +142,12 @@ class ModelCodecSpec extends AnyFunSuite {
   }
 
   test("a dangling parent id or a parent cycle is a corrupt model file") {
-    def bytesOf(parents: (Int, Int)*): Array[Byte] = ModelCodec.serialize(new TemplateModel(
-      parents.map { case (id, parent) => node(id, parent, Seq("t", id.toString), 1.0, 0) }.toVector))
+    // the file of a model of roots, with the parent ids then written over
+    def bytesOf(parents: (Int, Int)*): Array[Byte] = {
+      val roots = ModelCodec.serialize(new TemplateModel(
+        parents.map { case (id, _) => node(id, -1, Seq("t", id.toString), 1.0, 0) }.toVector))
+      parentOffsets(roots).zip(parents).foldLeft(roots) { case (b, (at, (_, parent))) => withInt(b, at, parent) }
+    }
     assert(ModelCodec.deserialize(bytesOf(0 -> -1, 1 -> 0, 2 -> 1)).size == 3)
     assert(corruptMessage(bytesOf(0 -> -1, 1 -> 7)).exists(_.contains("node 1 has unknown parent id 7")))
     assert(corruptMessage(bytesOf(0 -> -5)).exists(_.contains("unknown parent id -5")))
@@ -173,6 +177,15 @@ class ModelCodecSpec extends AnyFunSuite {
       }
     }
     val params = Test.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(Seed(23L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status.toString)
+  }
+
+  test("any model the constructor accepts round-trips, negative ids and parents included (ScalaCheck)") {
+    val prop = Prop.forAll(Forests.sound) { m =>
+      (ModelCodec.deserialize(ModelCodec.serialize(m)).nodes == m.nodes) :| m.nodes.mkString("\n")
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(Seed(25L))
     val result = Test.check(params, prop)
     assert(result.passed, result.status.toString)
   }

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.util.Random
-
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
@@ -45,15 +43,15 @@ class QuerySpec extends AnyFunSuite {
     assert(Query.resolve(m, 0, 0.99).id == 0)
   }
 
-  /** The chain as a `List`, root first, by `byId` lookups, and the coarsest
-    * node on it meeting the threshold: resolve's definition.
+  /** The chain as a `List`, root first, by linear searches of the nodes,
+    * and the coarsest node on it meeting the threshold: resolve's definition.
     */
   private def referenceChain(m: TemplateModel, id: Int): List[TemplateNode] = {
-    var cur = m.byId.get(id)
+    var cur = m.nodes.find(_.id == id)
     var acc = List.empty[TemplateNode]
     while (cur.isDefined) {
       acc = cur.get :: acc
-      cur = if (cur.get.isRoot) None else m.byId.get(cur.get.parentId)
+      cur = if (cur.get.isRoot) None else m.nodes.find(_.id == cur.get.parentId)
     }
     acc
   }
@@ -64,28 +62,7 @@ class QuerySpec extends AnyFunSuite {
   }
 
   test("resolve and ancestry equal the List reference on random forests") {
-    val ids = Gen.frequency(
-      4 -> Gen.choose(-3, 40),
-      2 -> Gen.choose(Int.MinValue, Int.MaxValue),
-      1 -> Gen.oneOf(Int.MaxValue, Int.MinValue, Int.MaxValue - 1, -1))
-    val sats = Gen.frequency(3 -> Gen.oneOf(0.0, 0.3, 0.5, 0.9, 1.0), 2 -> Gen.choose(0.0, 1.0))
-    val forests = for {
-      n <- Gen.choose(1, 14)
-      nodeIds <- Gen.listOfN(n, ids).map(_.distinct)
-      // parent of node i: a root marker, an id that names no node
-      // (dangling) or an earlier node, so the links form no cycle
-      dangling = List(0, 7, 41, 1000003, Int.MaxValue - 1, Int.MaxValue).filterNot(nodeIds.contains)
-      parents <- Gen.sequence[List[Int], Int](nodeIds.indices.map { i =>
-        Gen.frequency(List(2 -> Gen.oneOf(-1, -7, Int.MinValue)) ++
-          (if (dangling.isEmpty) Nil else List(1 -> Gen.oneOf(dangling))) ++
-          (if (i == 0) Nil else List(3 -> Gen.oneOf(nodeIds.take(i)))): _*)
-      })
-      nodeSats <- Gen.listOfN(nodeIds.size, sats)
-      seed <- Gen.long
-    } yield new TemplateModel(new Random(seed).shuffle(nodeIds.indices.toVector).map { i =>
-      TemplateNode(nodeIds(i), parents(i), GroupKey(1, Nil), Vector("t"), nodeSats(i), nodeSats(i), 0, 1)
-    })
-    val prop = Prop.forAll(forests) { m =>
+    val prop = Prop.forAll(Forests.sound) { m =>
       val thresholds = m.nodes.flatMap(n => Seq(-1e-9, 0.0, 1e-9).map(n.effectiveSaturation + _)) ++ Seq(0.0, 1.5)
       m.nodes.forall { n =>
         m.ancestry(n.id) == referenceChain(m, n.id) &&
@@ -97,22 +74,48 @@ class QuerySpec extends AnyFunSuite {
     assert(result.passed, result.status.toString)
   }
 
+  test("rewiring one parent id is rejected at construction exactly when it breaks the forest, naming the node (ScalaCheck)") {
+    val cases = for {
+      m <- Forests.sound
+      i <- Gen.choose(0, m.size - 1)
+      parent <- Gen.frequency(
+        1 -> Gen.oneOf(-1, -7, Int.MinValue, Int.MaxValue),
+        3 -> Gen.oneOf(m.nodes.map(_.id)),
+        1 -> Gen.choose(-3, 41))
+    } yield (m, i, parent)
+    val prop = Prop.forAll(cases) { case (m, i, parent) =>
+      val rewired = m.nodes.updated(i, m.nodes(i).copy(parentId = parent))
+      val id = rewired(i).id
+      // the parent closes a cycle when node i is on its chain in `m`: the
+      // cycle runs from node i down to the parent
+      val cycle = if (parent == -1) Nil else referenceChain(m, parent).map(_.id).dropWhile(_ != id)
+      val expected =
+        if (parent != -1 && !m.nodes.exists(_.id == parent)) Set(s"node $id has unknown parent id $parent")
+        else cycle.map(c => s"parent cycle through node $c").toSet
+      val outcome =
+        try { new TemplateModel(rewired); None }
+        catch { case e: IllegalArgumentException => Some(e.getMessage) }
+      outcome.fold(expected.isEmpty)(expected) :| s"node $id -> parent $parent: $outcome\n${m.nodes.mkString("\n")}"
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(Seed(7L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status.toString)
+  }
+
   test("resolving an unknown id throws NoSuchElementException naming the id") {
     val e = intercept[NoSuchElementException](Query.resolve(model, 42, 0.5))
     assert(e.getMessage.contains("42"))
     assert(model.ancestry(42).isEmpty)
   }
 
-  test("a parent cycle makes resolve and ancestry fail instead of looping") {
-    val cyclic = new TemplateModel(Vector(
+  test("a parent cycle is rejected at construction, naming a node on it") {
+    val e = intercept[IllegalArgumentException](new TemplateModel(Vector(
       node(0, 1, Seq("a", W), 0.5, 1),
       node(1, 0, Seq(W, W), 0.2, 0),
-      node(2, -1, Seq("b", "c"), 1.0, 0)))
-    Seq(0, 1).foreach { id =>
-      assertThrows[IllegalStateException](Query.resolve(cyclic, id, 0.9))
-      assertThrows[IllegalStateException](cyclic.ancestry(id))
-    }
-    assert(Query.resolve(cyclic, 2, 0.9).id == 2)
+      node(2, -1, Seq("b", "c"), 1.0, 0))))
+    assert(Set("parent cycle through node 0", "parent cycle through node 1").contains(e.getMessage))
+    val self = intercept[IllegalArgumentException](new TemplateModel(Vector(node(3, 3, Seq("a"), 1.0, 0))))
+    assert(self.getMessage == "parent cycle through node 3")
   }
 
   test("templatesAt dedups and orders by count") {

@@ -18,17 +18,30 @@ class TemplateTreeSpec extends AnyFunSuite {
   ))
 
   test("byId covers all nodes") {
-    assert(model.byId.keySet == Set(0, 1, 2, 3, 4))
+    assert((0 to 4).forall(id => model.byId(id).id == id))
+    assert(intercept[NoSuchElementException](model.byId(5)).getMessage.contains("5"))
   }
 
   test("duplicate ids are rejected") {
-    assertThrows[IllegalArgumentException](
+    val e = intercept[IllegalArgumentException](
       new TemplateModel(Vector(node(1, -1, Seq("a"), 1, 0), node(1, -1, Seq("b"), 1, 0))))
+    assert(e.getMessage.contains("node 1"))
   }
 
-  test("childrenOf and leaves") {
-    assert(model.childrenOf(0).map(_.id) == Vector(1, 2))
-    assert(model.leaves.map(_.id).sorted == Vector(2, 3, 4))
+  test("an unknown or negative parent id other than -1 is rejected, naming the node") {
+    Seq(7, -3, -7, Int.MinValue).foreach { parent =>
+      val e = intercept[IllegalArgumentException](
+        new TemplateModel(Vector(node(0, -1, Seq("a"), 1, 0), node(1, parent, Seq("b"), 1, 1))))
+      assert(e.getMessage == s"node 1 has unknown parent id $parent")
+    }
+    // a parent id naming a node is a link, whatever its sign
+    val m = new TemplateModel(Vector(node(-3, -1, Seq("a"), 0.5, 0), node(5, -3, Seq("b"), 1, 1)))
+    assert(m.ancestry(5).map(_.id) == List(-3, 5))
+    assert(Query.resolve(m, 5, 0.1).id == -3)
+  }
+
+  test("leaves are the nodes no node names as parent") {
+    assert(model.leaves.map(_.id) == Vector(2, 3, 4))
   }
 
   test("ancestry runs root to node") {
