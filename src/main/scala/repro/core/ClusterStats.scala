@@ -7,9 +7,8 @@ package repro.core
   * hash occurs (weighted by duplicate counts) and how many distinct tokens
   * appear there.
   */
-final class ClusterStats(val numPositions: Int, expectedDistinct: Int => Int = _ => 0) {
-  private val counts: Array[HashCounts] =
-    Array.tabulate(numPositions)(i => new HashCounts(expectedDistinct(i)))
+final class ClusterStats(val numPositions: Int) {
+  private val counts: Array[HashCounts] = Array.fill(numPositions)(new HashCounts)
 
   /** Total log count including duplicates. */
   var totalCount: Long = 0L
@@ -17,14 +16,39 @@ final class ClusterStats(val numPositions: Int, expectedDistinct: Int => Int = _
   /** Number of unique (deduplicated) logs. */
   var uniqueCount: Int = 0
 
-  def add(log: UniqueLog): Unit = {
+  /** w_0 … w_{m−1} and their sum at index m, for the `positionImportance`
+    * they were computed under; null until asked for after an add or remove.
+    */
+  private var weights: Array[Double] = null
+  private var weightsImportance = false
+
+  def add(log: UniqueLog): Unit = move(log, log.count, 1)
+
+  /** Takes back an earlier [[add]] of `log`, as a clustering pass moves it to
+    * another cluster.
+    */
+  def remove(log: UniqueLog): Unit = move(log, -log.count, -1)
+
+  private def move(log: UniqueLog, count: Long, unique: Int): Unit = {
     var i = 0
     while (i < numPositions) {
-      counts(i).add(log.hashes(i), log.count)
+      counts(i).add(log.hashes(i), count)
       i += 1
     }
-    totalCount += log.count
-    uniqueCount += 1
+    totalCount += count
+    uniqueCount += unique
+    weights = null
+  }
+
+  /** Position weights w_i of [[PositionalDistance]] with their sum at index
+    * `numPositions`, cached until the next add or remove.
+    */
+  private[core] def positionWeights(positionImportance: Boolean): Array[Double] = {
+    if (weights == null || weightsImportance != positionImportance) {
+      weights = PositionalDistance.weights(this, positionImportance)
+      weightsImportance = positionImportance
+    }
+    weights
   }
 
   /** Distinct token count n_i at position `i`. */
@@ -36,12 +60,6 @@ final class ClusterStats(val numPositions: Int, expectedDistinct: Int => Int = _
 
   /** True when all logs share one token at position `i`. */
   def isConstant(i: Int): Boolean = counts(i).size <= 1
-
-  /** Empty stats with every position's table sized for this one's distinct
-    * count: a clustering pass rebuilds each cluster's stats from a set of
-    * logs close to the last one, so the tables then rarely have to grow.
-    */
-  def emptyLike: ClusterStats = new ClusterStats(numPositions, distinctAt)
 
   /** Indices of non-constant positions. */
   def unresolvedPositions: Array[Int] =
@@ -61,16 +79,23 @@ object ClusterStats {
   * run in one array — no boxed counts, no second array to chase. The
   * similarity loop of every clustering pass reads these for every log and
   * position. Slot key 0 marks an empty slot; hash 0 itself is kept aside.
+  *
+  * Counts are signed, so a log that leaves a cluster is subtracted. A key
+  * whose count returns to 0 keeps its slot, as removing it would break the
+  * probe runs through it, but no longer counts in [[size]]; [[grow]] drops
+  * such dead keys.
   */
-private[core] final class HashCounts(expected: Int = 0) {
-  private var mask = HashCounts.capacityFor(expected) - 1
+private[core] final class HashCounts {
+  private var mask = HashCounts.MinCapacity - 1
   private var slots = new Array[Long](2 * (mask + 1))
+  /** Occupied slots, dead keys included: what the load factor bounds. */
   private var used = 0
-  private var hasZero = false
+  /** Occupied slots with a non-zero count. */
+  private var live = 0
   private var zeroCount = 0L
 
-  /** Number of distinct hashes added. */
-  def size: Int = if (hasZero) used + 1 else used
+  /** Number of hashes whose count is not 0. */
+  def size: Int = if (zeroCount != 0L) live + 1 else live
 
   /** Summed count of `h`, 0 when it was never added. */
   def apply(h: Long): Long =
@@ -87,27 +112,41 @@ private[core] final class HashCounts(expected: Int = 0) {
     }
 
   def add(h: Long, count: Long): Unit =
-    if (h == 0L) { hasZero = true; zeroCount += count }
-    else {
+    if (h == 0L) zeroCount += count
+    else if (count != 0L) {
       var i = HashCounts.index(h, mask)
       while (slots(2 * i) != h && slots(2 * i) != 0L) i = (i + 1) & mask
-      if (slots(2 * i) == h) slots(2 * i + 1) += count
-      else {
+      if (slots(2 * i) == h) {
+        val before = slots(2 * i + 1)
+        val after = before + count
+        slots(2 * i + 1) = after
+        if (before == 0L) live += 1
+        else if (after == 0L) live -= 1
+      } else {
         slots(2 * i) = h
         slots(2 * i + 1) = count
         used += 1
+        live += 1
         if (2 * used > mask + 1) grow()
       }
     }
 
+  /** Slot capacity, for tests of the churn bound. */
+  private[core] def capacity: Int = mask + 1
+
+  /** Rehashes the live keys: into twice the slots when more than a quarter
+    * of them are live, else into as many, so a table whose keys come and go
+    * stays as large as its live keys need.
+    */
   private def grow(): Unit = {
     val old = slots
-    slots = new Array[Long](2 * old.length)
-    mask = old.length - 1
+    val next = if (4 * live > mask + 1) 2 * (mask + 1) else mask + 1
+    slots = new Array[Long](2 * next)
+    mask = next - 1
     var j = 0
     while (j < old.length) {
       val k = old(j)
-      if (k != 0L) {
+      if (k != 0L && old(j + 1) != 0L) {
         var i = HashCounts.index(k, mask)
         while (slots(2 * i) != 0L) i = (i + 1) & mask
         slots(2 * i) = k
@@ -115,15 +154,13 @@ private[core] final class HashCounts(expected: Int = 0) {
       }
       j += 2
     }
+    used = live
   }
 }
 
 private object HashCounts {
-  /** Slots (a power of two) for `expected` keys at most half full; at
-    * least 4, as most positions hold few tokens.
-    */
-  def capacityFor(expected: Int): Int =
-    if (expected <= 2) 4 else Integer.highestOneBit(2 * expected - 1) << 1
+  /** Slots of a new table, a power of two: most positions hold few tokens. */
+  val MinCapacity = 4
 
   /** Fibonacci hashing: the high bits of h·φ, so clustered hashes spread. */
   def index(h: Long, mask: Int): Int = ((h * 0x9E3779B97F4A7C15L) >>> 32).toInt & mask

@@ -24,18 +24,19 @@ object HierarchicalClustering {
     // Token arrays compare element-wise: a joined-string key would be
     // ambiguous, since tokens may contain any separator.
     val logs = unordered.sortBy(l => ArraySeq.unsafeWrapArray(l.tokens): Seq[String])(
-      Ordering.Implicits.seqOrdering[Seq, String])
+      Ordering.Implicits.seqOrdering[Seq, String]).toArray
     val m = groupKey.numTokens
     val rng = new Random(cfg.seed ^ groupKey.hashCode().toLong)
     val out = mutable.ArrayBuffer.empty[TemplateNode]
     var nextId = 0
 
-    final case class Work(logIdx: Vector[Int], parentId: Int, parentEffSat: Double, depth: Int)
+    final case class Work(logIdx: Array[Int], parentId: Int, parentEffSat: Double, depth: Int)
 
-    val stack = mutable.Stack(Work(logs.indices.toVector, -1, 0.0, 0))
+    val stack = mutable.Stack(Work(logs.indices.toArray, -1, 0.0, 0))
     while (stack.nonEmpty) {
       val w = stack.pop()
-      val nodeLogs = w.logIdx.map(logs)
+      // array-backed: clustering indexes the node's logs in its inner loops
+      val nodeLogs = ArraySeq.unsafeWrapArray(w.logIdx.map(logs(_)))
       val stats = ClusterStats.of(nodeLogs, m)
       val analysis = Saturation.analyze(nodeLogs, stats, cfg)
       val sat = analysis.score
@@ -58,7 +59,7 @@ object HierarchicalClustering {
         SingleClustering.split(nodeLogs, stats, analysis, cfg, rng) match {
           case Some(children) if children.size > 1 =>
             children.foreach { child =>
-              stack.push(Work(child.map(w.logIdx), id, effSat, w.depth + 1))
+              stack.push(Work(child.iterator.map(w.logIdx(_)).toArray, id, effSat, w.depth + 1))
             }
           case _ => // no meaningful split — leaf
         }

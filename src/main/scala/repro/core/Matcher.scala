@@ -129,7 +129,7 @@ final class OnlineMatcher(initial: TemplateModel) {
         case Some(n) => n.copy(count = n.count + 1)
         case None =>
           val node = TemplateNode(
-            id = nextId,
+            id = TemplateModel.freshId(nextId),
             parentId = -1,
             groupKey = GroupKey(tokens.length, Seq.empty),
             template = tokens.toIndexedSeq,

@@ -44,7 +44,7 @@ object Merge {
       oldGroups.get(gk) match {
         case None =>
           // unseen group: adopt the whole new tree under fresh ids
-          val idMap = newNodes.map(_.id).map { oid => oid -> { val i = nextId; nextId += 1; i } }.toMap
+          val idMap = newNodes.map(_.id).map { oid => oid -> { val i = TemplateModel.freshId(nextId); nextId += 1; i } }.toMap
           newNodes.foreach { n =>
             val nn = n.copy(
               id = idMap(n.id),
@@ -66,7 +66,7 @@ object Merge {
               merged.update(best.id, cur.copy(count = cur.count + leaf.count))
             } else {
               val nn = leaf.copy(
-                id = nextId,
+                id = TemplateModel.freshId(nextId),
                 parentId = oldRoot.id,
                 depth = oldRoot.depth + 1,
                 effectiveSaturation = math.max(leaf.saturation, oldRoot.effectiveSaturation),

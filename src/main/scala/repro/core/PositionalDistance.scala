@@ -21,19 +21,33 @@ object PositionalDistance {
   /** Similarity in [0, 1]; 1 = every token matches the cluster's majority. */
   def similarity(hashes: Array[Long], stats: ClusterStats, cfg: ByteBrainConfig): Double = {
     val m = stats.numPositions
+    val w = stats.positionWeights(cfg.positionImportance)
     var num = 0.0
-    var den = 0.0
+    var i = 0
+    while (i < m) {
+      num += w(i) * stats.freqAt(i, hashes(i))
+      i += 1
+    }
+    val den = w(m)
+    if (den == 0.0) 0.0 else num / den
+  }
+
+  /** The weights w_i of `stats`' positions, then their sum, added in
+    * position order ([[ClusterStats.positionWeights]] caches them).
+    */
+  private[core] def weights(stats: ClusterStats, positionImportance: Boolean): Array[Double] = {
+    val m = stats.numPositions
+    val w = new Array[Double](m + 1)
     var i = 0
     while (i < m) {
       val ni = stats.distinctAt(i)
-      val w =
-        if (!cfg.positionImportance) 1.0
+      w(i) =
+        if (!positionImportance) 1.0
         else if (ni <= 1) ConstantWeight
         else 1.0 / (ni - 1).toDouble
-      num += w * stats.freqAt(i, hashes(i))
-      den += w
+      w(m) += w(i)
       i += 1
     }
-    if (den == 0.0) 0.0 else num / den
+    w
   }
 }

@@ -83,39 +83,41 @@ object SingleClustering {
         b
       }
 
-    var assignment = Array.fill(n)(-1)
+    // cluster c's stats hold the logs that `synced` assigns to c; a pass
+    // changes `assignment`, then applyMoves carries its moves into the stats
+    val assignment = Array.fill(n)(-1)
     assignment(first) = 0
     assignment(second) = 1
-    var k = 2
-    var statsByCluster = rebuildStats(logs, assignment, k, m)
+    val synced = assignment.clone()
+    var stats = Array(firstStats, ClusterStats.of(Iterator(logs(second)), m))
 
     // initial assignment of the remaining logs
-    assignAll(logs, assignment, statsByCluster, first, second, cfg, rng)
-    statsByCluster = rebuildStats(logs, assignment, k, m)
+    assignAll(logs, assignment, stats, first, second, cfg, rng)
+    applyMoves(logs, synced, assignment, stats)
 
     // --- refinement --------------------------------------------------------
     var iter = 0
     var changed = true
     while (iter < MaxIterations && changed) {
-      changed = assignAll(logs, assignment, statsByCluster, -1, -1, cfg, rng)
-      statsByCluster = rebuildStats(logs, assignment, k, m, statsByCluster)
+      changed = assignAll(logs, assignment, stats, -1, -1, cfg, rng)
+      applyMoves(logs, synced, assignment, stats)
 
       // once assignments converge, expand if some non-trivial cluster shows
       // no saturation improvement over the parent (checking only at
       // convergence keeps the cost of saturation evaluation off the hot loop)
-      if (!changed && k < math.min(MaxClustersPerSplit, n)) {
-        val members = Array.fill(k)(Vector.newBuilder[UniqueLog])
+      if (!changed && stats.length < math.min(MaxClustersPerSplit, n)) {
+        val members = Array.fill(stats.length)(Vector.newBuilder[UniqueLog])
         logs.indices.foreach(i => if (assignment(i) >= 0) members(assignment(i)) += logs(i))
-        val stuck = statsByCluster.zipWithIndex.exists { case (s, c) =>
+        val stuck = stats.zipWithIndex.exists { case (s, c) =>
           s.uniqueCount > 1 &&
             Saturation.score(members(c).result(), s, cfg) <= parent.score + 1e-12
         }
         if (stuck) {
-          val seedIdx = farthestFromAll(logs, statsByCluster, cfg)
+          val seedIdx = farthestFromAll(logs, stats, cfg)
           if (seedIdx >= 0) {
-            assignment(seedIdx) = k
-            k += 1
-            statsByCluster = rebuildStats(logs, assignment, k, m, statsByCluster)
+            assignment(seedIdx) = stats.length
+            stats :+= new ClusterStats(m)
+            applyMoves(logs, synced, assignment, stats)
             changed = true
           }
         }
@@ -129,32 +131,35 @@ object SingleClustering {
     // expansion would survive as junk singleton templates. Merge such a log
     // into its most similar other cluster iff that cluster's saturation does
     // not decrease: genuine distinct statements (Fig. 5 Set 2 log [5]) would
-    // lower the target's saturation and therefore stay separate.
+    // lower the target's saturation and therefore stay separate. A pass
+    // scores against the clusters as they were at its start.
     var passes = 0
     var moved = true
     while (moved && passes < 4) {
       moved = false
-      statsByCluster = rebuildStats(logs, assignment, k, m, statsByCluster)
-      val members = Array.fill(k)(Vector.newBuilder[UniqueLog])
+      applyMoves(logs, synced, assignment, stats)
+      val members = Array.fill(stats.length)(Vector.newBuilder[UniqueLog])
       logs.indices.foreach(i => if (assignment(i) >= 0) members(assignment(i)) += logs(i))
       val memberLists = members.map(_.result())
       logs.indices.foreach { i =>
         val own = assignment(i)
-        if (own >= 0 && statsByCluster(own).uniqueCount <= 2) {
+        if (own >= 0 && stats(own).uniqueCount <= 2) {
           var best = -1
           var bestSim = -1.0
           var c = 0
-          while (c < k) {
-            if (c != own && statsByCluster(c).uniqueCount > 0) {
-              val s = PositionalDistance.similarity(logs(i).hashes, statsByCluster(c), cfg)
+          while (c < stats.length) {
+            if (c != own && stats(c).uniqueCount > 0) {
+              val s = PositionalDistance.similarity(logs(i).hashes, stats(c), cfg)
               if (s > bestSim) { bestSim = s; best = c }
             }
             c += 1
           }
           if (best >= 0) {
-            val before = Saturation.score(memberLists(best), statsByCluster(best), cfg)
-            val withLog = memberLists(best) :+ logs(i)
-            val after = Saturation.score(withLog, ClusterStats.of(withLog, m), cfg)
+            val target = stats(best)
+            val before = Saturation.score(memberLists(best), target, cfg)
+            target.add(logs(i))
+            val after = Saturation.score(memberLists(best) :+ logs(i), target, cfg)
+            target.remove(logs(i))
             if (after >= before - 1e-12) {
               assignment(i) = best
               moved = true
@@ -238,23 +243,26 @@ object SingleClustering {
     best
   }
 
-  /** Stats of the `k` clusters under `assignment`; cluster c's tables are
-    * sized like `previous(c)`, the stats it is rebuilt from, if there is one.
+  /** Moves every log whose cluster in `assignment` differs from `synced`
+    * out of its old cluster's stats and into its new one's, then records it
+    * in `synced`.
     */
-  private def rebuildStats(
+  private def applyMoves(
       logs: IndexedSeq[UniqueLog],
+      synced: Array[Int],
       assignment: Array[Int],
-      k: Int,
-      m: Int,
-      previous: Array[ClusterStats] = Array.empty,
-  ): Array[ClusterStats] = {
-    val stats = Array.tabulate(k)(c => if (c < previous.length) previous(c).emptyLike else new ClusterStats(m))
+      stats: Array[ClusterStats],
+  ): Unit = {
     var i = 0
     while (i < logs.length) {
-      val a = assignment(i)
-      if (a >= 0) stats(a).add(logs(i))
+      val from = synced(i)
+      val to = assignment(i)
+      if (from != to) {
+        if (from >= 0) stats(from).remove(logs(i))
+        if (to >= 0) stats(to).add(logs(i))
+        synced(i) = to
+      }
       i += 1
     }
-    stats
   }
 }

@@ -113,11 +113,22 @@ final class TemplateModel(val nodes: IndexedSeq[TemplateNode]) extends Serializa
   def withNodes(extra: Seq[TemplateNode]): TemplateModel =
     new TemplateModel(nodes ++ extra)
 
-  def nextId: Int = if (nodes.isEmpty) 0 else nodes.map(_.id).max + 1
+  /** The id after every node's, as a `Long`: past `Int.MaxValue` when a
+    * node holds that id, which [[TemplateModel.freshId]] then refuses.
+    */
+  def nextId: Long = if (nodes.isEmpty) 0L else nodes.map(_.id).max + 1L
 }
 
 object TemplateModel {
   val empty: TemplateModel = new TemplateModel(Vector.empty)
+
+  /** `next` as a node id, for a node that the online matcher or [[Merge]]
+    * adds; an `IllegalStateException` once ids pass `Int.MaxValue`.
+    */
+  def freshId(next: Long): Int =
+    if (next > Int.MaxValue)
+      throw new IllegalStateException(s"template id space is exhausted: no id after ${Int.MaxValue} is free")
+    else next.toInt
 
   /** Every parent chain reaches a root. Each node is walked up once in all: a
     * walk stops at a node an earlier walk has shown to reach a root, and

@@ -68,6 +68,18 @@ class MatcherSpec extends AnyFunSuite {
     assert(a.id >= model.nextId && b.id >= model.nextId)
   }
 
+  test("a model holding id Int.MaxValue loads, matches and queries, but has no id for a temporary") {
+    val full = ModelCodec.deserialize(ModelCodec.serialize(new TemplateModel(Vector(
+      node(Int.MaxValue, -1, Seq("get", W, "done"), 0.7, 0),
+      node(Int.MinValue, Int.MaxValue, Seq("get", "a", "done"), 1.0, 1)))))
+    val om = new OnlineMatcher(full)
+    assert(om.matchOrInsert(Array("get", "a", "done")).id == Int.MinValue)
+    assert(Query.resolve(full, Int.MinValue, 0.5).id == Int.MaxValue)
+    val e = intercept[IllegalStateException](om.matchOrInsert(Array("novel", "log")))
+    assert(e.getMessage.contains("id space is exhausted"), e.getMessage)
+    assert(om.modelWithTemporaries.nodes == full.nodes)
+  }
+
   test("modelWithTemporaries includes collected misses") {
     val om = new OnlineMatcher(model)
     om.matchOrInsert(Array("miss", "one", "x"))

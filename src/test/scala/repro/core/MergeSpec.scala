@@ -79,6 +79,13 @@ class MergeSpec extends AnyFunSuite {
     assert(leaf.parentId == root.id)
   }
 
+  test("merging an unseen group into a model holding id Int.MaxValue fails: the id space is exhausted") {
+    val full = new TemplateModel(Vector(node(Int.MaxValue, -1, Seq("get", W, "done"), 0.5, 0)))
+    val unseen = new TemplateModel(Vector(node(0, -1, Seq("put", "x"), 1.0, 0)))
+    val e = intercept[IllegalStateException](Merge.merge(full, unseen, cfg))
+    assert(e.getMessage.contains("id space is exhausted"), e.getMessage)
+  }
+
   test("merge is idempotent for identical models") {
     val merged = Merge.merge(oldModel, oldModel, cfg)
     // every leaf of the new model merges into its identical old counterpart
