@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 
 import repro.core.{ByteBrain, ByteBrainConfig}
@@ -29,7 +28,7 @@ object AccuracyJob {
 
       val assignments = ByteBrain.queryDf(spark, model, matched, threshold)
         .select(col("query_template_id").as("pred"), col("truth_id").as("truth"))
-      val ga = GroupingAccuracy.computeDf(spark, assignments)
+      val ga = GroupingAccuracy.computeDf(assignments)
       println(f"dataset=${ds.name} logs=${ds.numLogs} templates=${ds.numTemplates} " +
         f"modelNodes=${model.size} GA@$threshold%.2f = $ga%.4f")
     } finally spark.stop()

@@ -2,8 +2,6 @@ package repro.jobs
 
 import java.nio.file.Paths
 
-import org.apache.spark.sql.SparkSession
-
 import repro.core.{ByteBrain, ByteBrainConfig, ModelCodec}
 import repro.logdata.Datasets
 

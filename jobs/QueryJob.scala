@@ -2,7 +2,6 @@ package repro.jobs
 
 import java.nio.file.Paths
 
-import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 
 import repro.core.{ByteBrain, ModelCodec}

@@ -1,6 +1,5 @@
 package repro.baselines
 
-import scala.collection.mutable
 import scala.util.Random
 import ParserUtil._
 

@@ -35,7 +35,7 @@ object ByteBrain {
     */
   def trainLocal(messages: IterableOnce[String], cfg: ByteBrainConfig,
                  parallelism: Int = Runtime.getRuntime.availableProcessors()): TemplateModel = {
-    val (uniques, counts, _) = rawUniques(messages.iterator.toIndexedSeq, cfg.dedup)
+    val (uniques, counts, _) = rawUniques(messages.iterator.toIndexedSeq)
     withPool(parallelism) { pool =>
       trainRows(preprocessAll(uniques, cfg, pool, parallelism), counts, cfg, pool)
     }
@@ -51,7 +51,7 @@ object ByteBrain {
     */
   def parseLocal(lines: IndexedSeq[String], cfg: ByteBrainConfig,
                  parallelism: Int = Runtime.getRuntime.availableProcessors()): (TemplateModel, Array[Int]) = {
-    val (uniques, counts, uniqueOf) = rawUniques(lines, cfg.dedup)
+    val (uniques, counts, uniqueOf) = rawUniques(lines)
     val (tokens, model) = withPool(parallelism) { pool =>
       val tokens = preprocessAll(uniques, cfg, pool, parallelism)
       (tokens, trainRows(tokens, counts, cfg, pool))
@@ -62,22 +62,19 @@ object ByteBrain {
   }
 
   /** Raw-line dedup (§4.1.3): the distinct lines in first-seen order, the
-    * count of each, and every input line's index into them. Under
-    * `dedup = false` each line is its own entry with count 1.
+    * count of each, and every input line's index into them.
     */
-  private def rawUniques(lines: IndexedSeq[String], dedup: Boolean): (IndexedSeq[String], Array[Long], Array[Int]) =
-    if (!dedup) (lines, Array.fill(lines.length)(1L), lines.indices.toArray)
-    else {
-      val uniques = mutable.ArrayBuffer.empty[String]
-      val counts = mutable.ArrayBuffer.empty[Long]
-      val index = mutable.HashMap.empty[String, Int]
-      val uniqueOf = lines.iterator.map { line =>
-        val id = index.getOrElseUpdate(line, { uniques += line; counts += 0L; uniques.size - 1 })
-        counts(id) += 1L
-        id
-      }.toArray
-      (uniques.toIndexedSeq, counts.toArray, uniqueOf)
-    }
+  private def rawUniques(lines: IndexedSeq[String]): (IndexedSeq[String], Array[Long], Array[Int]) = {
+    val uniques = mutable.ArrayBuffer.empty[String]
+    val counts = mutable.ArrayBuffer.empty[Long]
+    val index = mutable.HashMap.empty[String, Int]
+    val uniqueOf = lines.iterator.map { line =>
+      val id = index.getOrElseUpdate(line, { uniques += line; counts += 0L; uniques.size - 1 })
+      counts(id) += 1L
+      id
+    }.toArray
+    (uniques.toIndexedSeq, counts.toArray, uniqueOf)
+  }
 
   /** Preprocessing tasks per pool thread, so a slow range does not hold up
     * the rest; and the fewest lines a task gets, so small batches stay in

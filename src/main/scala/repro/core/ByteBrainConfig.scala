@@ -2,14 +2,10 @@ package repro.core
 
 /** Configuration for the ByteBrain parser (paper §3–§4).
   *
-  * Defaults reproduce the paper's full method; the boolean flags switch off
-  * individual techniques to reproduce the §5.4 ablation variants:
-  *
-  *  - `positionImportance = false`      → "w/o position importance" (w_i = 1)
-  *  - `variableInSaturation = false`    → "w/o variable in saturation" (s = f_c)
-  *  - `confidenceFactor = false`        → "w/o confidence factor" (s = f_v · f_c)
-  *  - `kmeansPlusPlus = false`          → "random centroid selection"
-  *  - `earlyStop = false`, `dedup = false`
+  * Training always runs the paper's full method: raw and token dedup,
+  * position importance, declared variables and the confidence factor in
+  * saturation, K-Means++ seeding and the early stops. The §5.4 ablation
+  * variants that switch these off are not available from the config.
   *
   * @param stopThreshold      saturation at which a node stops splitting (1.0 = fully resolved)
   * @param prefixTokens       k tokens of prefix used for initial grouping (paper default 0)
@@ -27,12 +23,6 @@ package repro.core
 final case class ByteBrainConfig(
     stopThreshold: Double = 1.0,
     prefixTokens: Int = 0,
-    dedup: Boolean = true,
-    positionImportance: Boolean = true,
-    variableInSaturation: Boolean = true,
-    confidenceFactor: Boolean = true,
-    kmeansPlusPlus: Boolean = true,
-    earlyStop: Boolean = true,
     maxDepth: Int = 32,
     mergeThreshold: Double = 0.8,
     sampleMaxLogs: Long = 5_000_000L,
@@ -41,6 +31,7 @@ final case class ByteBrainConfig(
     tokenizerRegex: String = Tokenizer.DefaultDelimiters,
 ) {
   require(stopThreshold > 0 && stopThreshold <= 1.0, "stopThreshold must be in (0, 1]")
+  require(sampleMaxLogs > 0, "sampleMaxLogs must be positive")
   for ((name, p) <- variablePatterns)
     require(!Tokenizer.hasForbiddenConstruct(p),
       s"look-around/backreference constructs are not allowed in variable pattern $name: $p")

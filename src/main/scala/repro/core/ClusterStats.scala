@@ -16,11 +16,10 @@ final class ClusterStats(val numPositions: Int) {
   /** Number of unique (deduplicated) logs. */
   var uniqueCount: Int = 0
 
-  /** w_0 … w_{m−1} and their sum at index m, for the `positionImportance`
-    * they were computed under; null until asked for after an add or remove.
+  /** w_0 … w_{m−1} and their sum at index m; null until asked for after an
+    * add or remove.
     */
   private var weights: Array[Double] = null
-  private var weightsImportance = false
 
   def add(log: UniqueLog): Unit = move(log, log.count, 1)
 
@@ -43,11 +42,8 @@ final class ClusterStats(val numPositions: Int) {
   /** Position weights w_i of [[PositionalDistance]] with their sum at index
     * `numPositions`, cached until the next add or remove.
     */
-  private[core] def positionWeights(positionImportance: Boolean): Array[Double] = {
-    if (weights == null || weightsImportance != positionImportance) {
-      weights = PositionalDistance.weights(this, positionImportance)
-      weightsImportance = positionImportance
-    }
+  private[core] def positionWeights: Array[Double] = {
+    if (weights == null) weights = PositionalDistance.weights(this)
     weights
   }
 

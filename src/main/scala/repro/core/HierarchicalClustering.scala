@@ -38,7 +38,7 @@ object HierarchicalClustering {
       // array-backed: clustering indexes the node's logs in its inner loops
       val nodeLogs = ArraySeq.unsafeWrapArray(w.logIdx.map(logs(_)))
       val stats = ClusterStats.of(nodeLogs, m)
-      val analysis = Saturation.analyze(nodeLogs, stats, cfg)
+      val analysis = Saturation.analyze(nodeLogs, stats)
       val sat = analysis.score
       val effSat = math.max(sat, w.parentEffSat)
       val id = nextId
@@ -56,7 +56,7 @@ object HierarchicalClustering {
 
       val saturated = sat >= cfg.stopThreshold - 1e-9
       if (!saturated && nodeLogs.size > 1 && w.depth < cfg.maxDepth) {
-        SingleClustering.split(nodeLogs, stats, analysis, cfg, rng) match {
+        SingleClustering.split(nodeLogs, stats, analysis, rng) match {
           case Some(children) if children.size > 1 =>
             children.foreach { child =>
               stack.push(Work(child.iterator.map(w.logIdx(_)).toArray, id, effSat, w.depth + 1))

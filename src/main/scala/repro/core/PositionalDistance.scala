@@ -19,9 +19,9 @@ object PositionalDistance {
   val ConstantWeight: Double = 1e6
 
   /** Similarity in [0, 1]; 1 = every token matches the cluster's majority. */
-  def similarity(hashes: Array[Long], stats: ClusterStats, cfg: ByteBrainConfig): Double = {
+  def similarity(hashes: Array[Long], stats: ClusterStats): Double = {
     val m = stats.numPositions
-    val w = stats.positionWeights(cfg.positionImportance)
+    val w = stats.positionWeights
     var num = 0.0
     var i = 0
     while (i < m) {
@@ -35,16 +35,13 @@ object PositionalDistance {
   /** The weights w_i of `stats`' positions, then their sum, added in
     * position order ([[ClusterStats.positionWeights]] caches them).
     */
-  private[core] def weights(stats: ClusterStats, positionImportance: Boolean): Array[Double] = {
+  private[core] def weights(stats: ClusterStats): Array[Double] = {
     val m = stats.numPositions
     val w = new Array[Double](m + 1)
     var i = 0
     while (i < m) {
       val ni = stats.distinctAt(i)
-      w(i) =
-        if (!positionImportance) 1.0
-        else if (ni <= 1) ConstantWeight
-        else 1.0 / (ni - 1).toDouble
+      w(i) = if (ni <= 1) ConstantWeight else 1.0 / (ni - 1).toDouble
       w(m) += w(i)
       i += 1
     }

@@ -38,9 +38,6 @@ import scala.collection.mutable
   * Fig. 5 (Set 1 root = 1.0; Set 2 root ≈ 0.4, [4,6] = 0.6, singletons = 1.0)
   * — pinned by unit tests; see DESIGN.md §1 for why the formula as printed
   * cannot match its own figure.
-  *
-  * Ablations: `variableInSaturation = false` → s = m_c/m over strict
-  * constants only; `confidenceFactor = false` → s = f_v · f_c.
   */
 object Saturation {
 
@@ -52,22 +49,15 @@ object Saturation {
     */
   final case class Analysis(score: Double, unresolved: Array[Int])
 
-  def analyze(logs: IndexedSeq[UniqueLog], stats: ClusterStats, cfg: ByteBrainConfig): Analysis = {
-    val m = stats.numPositions
-    if (!cfg.variableInSaturation) {
-      // ablation "w/o variable in saturation": s = f_c over strict constants
-      val u = stats.unresolvedPositions
-      Analysis(if (u.isEmpty) 1.0 else (m - u.length).toDouble / m, u)
-    } else {
-      val nonConstant = stats.unresolvedPositions
-      val declared = declaredVariables(logs, stats, nonConstant)
-      val u = nonConstant.filter(i => !declared.contains(i))
-      Analysis(formula(stats, u, cfg), u)
-    }
+  def analyze(logs: IndexedSeq[UniqueLog], stats: ClusterStats): Analysis = {
+    val nonConstant = stats.unresolvedPositions
+    val declared = declaredVariables(logs, stats, nonConstant)
+    val u = nonConstant.filter(i => !declared.contains(i))
+    Analysis(formula(stats, u), u)
   }
 
-  def score(logs: IndexedSeq[UniqueLog], stats: ClusterStats, cfg: ByteBrainConfig): Double =
-    analyze(logs, stats, cfg).score
+  def score(logs: IndexedSeq[UniqueLog], stats: ClusterStats): Double =
+    analyze(logs, stats).score
 
   /** Positions resolved as declared variables, via iterative projection. A
     * position's distinct-token count does not change under projection — only
@@ -119,7 +109,7 @@ object Saturation {
   /** The §4.5 formula given the unresolved positions (none when there are
     * no positions or at most one unique log).
     */
-  private def formula(stats: ClusterStats, unresolved: Array[Int], cfg: ByteBrainConfig): Double = {
+  private def formula(stats: ClusterStats, unresolved: Array[Int]): Double = {
     val m = stats.numPositions
     if (unresolved.isEmpty) return 1.0
     // Fig. 5 Set 1: unresolved positions whose tokens are all-distinct and
@@ -143,10 +133,7 @@ object Saturation {
     }
     fv = math.max(0.0, math.min(fv, 1.0))
 
-    if (!cfg.confidenceFactor) fv * fc
-    else {
-      val pc = 1.0 / math.max(1.0, 2.0 * m - mr - 1.0)
-      (fv * pc + (1.0 - pc)) * fc
-    }
+    val pc = 1.0 / math.max(1.0, 2.0 * m - mr - 1.0)
+    (fv * pc + (1.0 - pc)) * fc
   }
 }

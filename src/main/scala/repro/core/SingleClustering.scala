@@ -29,7 +29,6 @@ object SingleClustering {
       logs: IndexedSeq[UniqueLog],
       parentStats: ClusterStats,
       parent: Saturation.Analysis,
-      cfg: ByteBrainConfig,
       rng: Random,
   ): Option[Vector[Vector[Int]]] = {
     val n = logs.size
@@ -40,48 +39,31 @@ object SingleClustering {
     // structure, so neither early stop nor clustering should key on them
     val unresolved = parent.unresolved
 
-    if (cfg.earlyStop) {
-      // (1) Few logs: each unique log naturally forms its own cluster.
-      if (n <= 2) return Some(logs.indices.map(i => Vector(i)).toVector)
-      // (2) Single unresolved position: K-Means cannot do better than the
-      //     partition by that position's token — split directly.
-      if (unresolved.length == 1) {
-        val p = unresolved(0)
-        val parts = logs.indices.groupBy(i => logs(i).hashes(p)).values
-          .map(_.toVector).toVector.sortBy(_.head)
-        return if (parts.size <= 1) None else Some(parts)
-      }
-      // (3) Completely distinct unresolved positions: every unresolved position
-      //     has a different token in every unique log → logs are inherently
-      //     dissimilar; one cluster per unique log (bounded to avoid blowup on
-      //     pathological groups — beyond the cap the node stays a leaf).
-      if (unresolved.nonEmpty && unresolved.forall(i => parentStats.distinctAt(i) == n))
-        return if (n > 8192) None
-               else Some(logs.indices.map(i => Vector(i)).toVector)
+    // (1) Few logs: each unique log naturally forms its own cluster.
+    if (n <= 2) return Some(logs.indices.map(i => Vector(i)).toVector)
+    // (2) Single unresolved position: K-Means cannot do better than the
+    //     partition by that position's token — split directly.
+    if (unresolved.length == 1) {
+      val p = unresolved(0)
+      val parts = logs.indices.groupBy(i => logs(i).hashes(p)).values
+        .map(_.toVector).toVector.sortBy(_.head)
+      return if (parts.size <= 1) None else Some(parts)
     }
+    // (3) Completely distinct unresolved positions: every unresolved position
+    //     has a different token in every unique log → logs are inherently
+    //     dissimilar; one cluster per unique log (bounded to avoid blowup on
+    //     pathological groups — beyond the cap the node stays a leaf).
+    if (unresolved.nonEmpty && unresolved.forall(i => parentStats.distinctAt(i) == n))
+      return if (n > 8192) None
+             else Some(logs.indices.map(i => Vector(i)).toVector)
     if (unresolved.isEmpty) return None
 
     // --- seeding -----------------------------------------------------------
     val first = rng.nextInt(n)
     val firstStats = ClusterStats.of(Iterator(logs(first)), m)
-    val second =
-      if (cfg.kmeansPlusPlus) {
-        // the log farthest from the first (lowest positional similarity)
-        var best = -1; var bestSim = Double.MaxValue
-        var i = 0
-        while (i < n) {
-          if (i != first) {
-            val s = PositionalDistance.similarity(logs(i).hashes, firstStats, cfg)
-            if (s < bestSim || (s == bestSim && best == -1)) { bestSim = s; best = i }
-          }
-          i += 1
-        }
-        best
-      } else {
-        var b = rng.nextInt(n)
-        while (b == first) b = rng.nextInt(n)
-        b
-      }
+    // the log farthest from the first: some log differs from it at an
+    // unresolved position, and the first itself scores exactly 1.0
+    val second = farthestFromAll(logs, Array(firstStats))
 
     // cluster c's stats hold the logs that `synced` assigns to c; a pass
     // changes `assignment`, then applyMoves carries its moves into the stats
@@ -91,29 +73,34 @@ object SingleClustering {
     val synced = assignment.clone()
     var stats = Array(firstStats, ClusterStats.of(Iterator(logs(second)), m))
 
+    // each cluster's logs under `assignment`
+    def memberLists(): Array[Vector[UniqueLog]] = {
+      val members = Array.fill(stats.length)(Vector.newBuilder[UniqueLog])
+      logs.indices.foreach(i => if (assignment(i) >= 0) members(assignment(i)) += logs(i))
+      members.map(_.result())
+    }
+
     // initial assignment of the remaining logs
-    assignAll(logs, assignment, stats, first, second, cfg, rng)
+    assignAll(logs, assignment, stats, first, second, rng)
     applyMoves(logs, synced, assignment, stats)
 
     // --- refinement --------------------------------------------------------
     var iter = 0
     var changed = true
     while (iter < MaxIterations && changed) {
-      changed = assignAll(logs, assignment, stats, -1, -1, cfg, rng)
+      changed = assignAll(logs, assignment, stats, -1, -1, rng)
       applyMoves(logs, synced, assignment, stats)
 
       // once assignments converge, expand if some non-trivial cluster shows
       // no saturation improvement over the parent (checking only at
       // convergence keeps the cost of saturation evaluation off the hot loop)
       if (!changed && stats.length < math.min(MaxClustersPerSplit, n)) {
-        val members = Array.fill(stats.length)(Vector.newBuilder[UniqueLog])
-        logs.indices.foreach(i => if (assignment(i) >= 0) members(assignment(i)) += logs(i))
+        val members = memberLists()
         val stuck = stats.zipWithIndex.exists { case (s, c) =>
-          s.uniqueCount > 1 &&
-            Saturation.score(members(c).result(), s, cfg) <= parent.score + 1e-12
+          s.uniqueCount > 1 && Saturation.score(members(c), s) <= parent.score + 1e-12
         }
         if (stuck) {
-          val seedIdx = farthestFromAll(logs, stats, cfg)
+          val seedIdx = farthestFromAll(logs, stats)
           if (seedIdx >= 0) {
             assignment(seedIdx) = stats.length
             stats :+= new ClusterStats(m)
@@ -138,9 +125,7 @@ object SingleClustering {
     while (moved && passes < 4) {
       moved = false
       applyMoves(logs, synced, assignment, stats)
-      val members = Array.fill(stats.length)(Vector.newBuilder[UniqueLog])
-      logs.indices.foreach(i => if (assignment(i) >= 0) members(assignment(i)) += logs(i))
-      val memberLists = members.map(_.result())
+      val members = memberLists()
       logs.indices.foreach { i =>
         val own = assignment(i)
         if (own >= 0 && stats(own).uniqueCount <= 2) {
@@ -149,16 +134,16 @@ object SingleClustering {
           var c = 0
           while (c < stats.length) {
             if (c != own && stats(c).uniqueCount > 0) {
-              val s = PositionalDistance.similarity(logs(i).hashes, stats(c), cfg)
+              val s = PositionalDistance.similarity(logs(i).hashes, stats(c))
               if (s > bestSim) { bestSim = s; best = c }
             }
             c += 1
           }
           if (best >= 0) {
             val target = stats(best)
-            val before = Saturation.score(memberLists(best), target, cfg)
+            val before = Saturation.score(members(best), target)
             target.add(logs(i))
-            val after = Saturation.score(memberLists(best) :+ logs(i), target, cfg)
+            val after = Saturation.score(members(best) :+ logs(i), target)
             target.remove(logs(i))
             if (after >= before - 1e-12) {
               assignment(i) = best
@@ -185,7 +170,6 @@ object SingleClustering {
       stats: Array[ClusterStats],
       seedA: Int,
       seedB: Int,
-      cfg: ByteBrainConfig,
       rng: Random,
   ): Boolean = {
     var changed = false
@@ -198,7 +182,7 @@ object SingleClustering {
         var c = 0
         while (c < stats.length) {
           if (stats(c).uniqueCount > 0) {
-            val s = PositionalDistance.similarity(logs(i).hashes, stats(c), cfg)
+            val s = PositionalDistance.similarity(logs(i).hashes, stats(c))
             if (s > bestSim + 1e-12) { bestSim = s; ties(0) = c; numTies = 1 }
             else if (math.abs(s - bestSim) <= 1e-12) { ties(numTies) = c; numTies += 1 }
           }
@@ -221,7 +205,6 @@ object SingleClustering {
   private def farthestFromAll(
       logs: IndexedSeq[UniqueLog],
       stats: Array[ClusterStats],
-      cfg: ByteBrainConfig,
   ): Int = {
     var best = -1
     var bestScore = Double.MaxValue
@@ -231,7 +214,7 @@ object SingleClustering {
       var c = 0
       while (c < stats.length) {
         if (stats(c).uniqueCount > 0) {
-          val s = PositionalDistance.similarity(logs(i).hashes, stats(c), cfg)
+          val s = PositionalDistance.similarity(logs(i).hashes, stats(c))
           if (s > maxSim) maxSim = s
         }
         c += 1

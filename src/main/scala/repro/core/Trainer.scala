@@ -54,9 +54,7 @@ object Trainer {
 
   def train(spark: SparkSession, logs: DataFrame, cfg: ByteBrainConfig,
             messageCol: String = "message"): TemplateModel = {
-    val raw =
-      if (cfg.dedup) logs.groupBy(col(messageCol)).count()
-      else logs.select(col(messageCol), lit(1L))
+    val raw = logs.groupBy(col(messageCol)).count()
     val partitioner = new HashPartitioner(spark.conf.get("spark.sql.shuffle.partitions").toInt)
     val rows = raw.rdd.mapPartitions { it =>
       val tokenizer = new Tokenizer(cfg.tokenizerRegex)
@@ -83,21 +81,17 @@ object Trainer {
     else apportion(totals.toIndexedSeq, cfg.sampleMaxLogs, cfg.seed)(k => k.numTokens.toString +: k.prefix).toMap
 
   /** The per-group training step both drivers run, over the group's
-    * (tokens, count) rows in any order: token-level dedup (§4.1.3; the rows
-    * stay as they are under `dedup = false`), sampling down to `quota` lines,
-    * hash encoding and hierarchical clustering (§4.3–4.7).
+    * (tokens, count) rows in any order: token-level dedup (§4.1.3), sampling
+    * down to `quota` lines, hash encoding and hierarchical clustering
+    * (§4.3–4.7).
     */
   def trainGroup(key: GroupKey, rows: Iterator[(Array[String], Long)], quota: Long,
                  cfg: ByteBrainConfig): Seq[LocalNode] = {
-    val deduped: IndexedSeq[(Array[String], Long)] =
-      if (!cfg.dedup) rows.toIndexedSeq
-      else {
-        val counts = mutable.HashMap.empty[Seq[String], Long]
-        rows.foreach { case (t, c) =>
-          counts.updateWith(ArraySeq.unsafeWrapArray(t))(prev => Some(prev.getOrElse(0L) + c))
-        }
-        counts.iterator.map { case (t, c) => (t.toArray, c) }.toIndexedSeq
-      }
+    val counts = mutable.HashMap.empty[Seq[String], Long]
+    rows.foreach { case (t, c) =>
+      counts.updateWith(ArraySeq.unsafeWrapArray(t))(prev => Some(prev.getOrElse(0L) + c))
+    }
+    val deduped = counts.iterator.map { case (t, c) => (t.toArray, c) }.toIndexedSeq
     val sampled =
       if (deduped.iterator.map(_._2).sum <= quota) deduped
       else apportion(deduped, quota, cfg.seed)(t => ArraySeq.unsafeWrapArray(t))

@@ -2,7 +2,7 @@ package repro.eval
 
 import scala.collection.mutable
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Grouping Accuracy (paper §5.1.3): the ratio of correctly grouped logs.
@@ -46,8 +46,7 @@ object GroupingAccuracy {
   /** Same metric as a Spark aggregation over a (pred, truth) DataFrame —
     * used by the distributed accuracy job and oracle-checked against DuckDB.
     */
-  def computeDf(spark: SparkSession, assignments: DataFrame,
-                predCol: String = "pred", truthCol: String = "truth"): Double = {
+  def computeDf(assignments: DataFrame, predCol: String = "pred", truthCol: String = "truth"): Double = {
     val total = assignments.count()
     if (total == 0) return 1.0
     val pred = assignments.groupBy(col(predCol))

@@ -67,14 +67,6 @@ class ByteBrainLocalSpec extends AnyFunSuite {
     assert(a.nodes.toSet == b.nodes.toSet)
   }
 
-  test("dedup=false ablation still parses correctly on a clean corpus") {
-    val (lines, truth) = corpus(300)
-    val c = cfg.copy(dedup = false)
-    val (m, matched) = ByteBrain.parseLocal(lines, c)
-    val resolved = matched.map(id => Query.resolve(m, id, 0.9).id).toIndexedSeq
-    assert(GroupingAccuracy.compute(resolved, truth) >= 0.95)
-  }
-
   test("different token counts end in different initial groups") {
     val lines = Vector("a b c", "a b c d", "a b c", "a b c d e")
     val model = ByteBrain.trainLocal(lines, cfg)
@@ -139,6 +131,9 @@ class ByteBrainLocalSpec extends AnyFunSuite {
   test("config validation rejects bad thresholds") {
     assertThrows[IllegalArgumentException](ByteBrainConfig(stopThreshold = 0.0))
     assertThrows[IllegalArgumentException](ByteBrainConfig(stopThreshold = 1.5))
+    // a non-positive sampling cap would give every group a quota of 0
+    assertThrows[IllegalArgumentException](ByteBrainConfig(sampleMaxLogs = 0))
+    assertThrows[IllegalArgumentException](ByteBrainConfig(sampleMaxLogs = -1))
   }
 
   test("config validation rejects variable patterns with look-around, backreferences or bad syntax") {

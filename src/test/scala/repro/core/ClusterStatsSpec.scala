@@ -93,17 +93,15 @@ class ClusterStatsSpec extends AnyFunSuite {
       hs <- Gen.listOfN(m, hash)
       c <- Gen.choose(1L, 5L)
     } yield UniqueLog(Array.fill(m)("t"), hs.toArray, c, 0L)
-    // a step adds a log (Left) or removes the (i % size)-th log present (Right);
-    // one config per case, so the cached weights are read across mutations
+    // a step adds a log (Left) or removes the (i % size)-th log present (Right)
     val cases = for {
       m <- Gen.choose(1, 4)
       steps <- Gen.choose(1, 40).flatMap(Gen.listOfN(_,
         Gen.frequency(3 -> logOf(m).map(Left(_)), 2 -> Gen.choose(0, 1000).map(Right(_)))))
       probes <- Gen.listOfN(3, Gen.listOfN(m, hash).map(_.toArray))
-      importance <- Gen.oneOf(true, false)
-    } yield (m, steps, probes, ByteBrainConfig(positionImportance = importance))
+    } yield (m, steps, probes)
     def bits(x: Double): Long = java.lang.Double.doubleToLongBits(x)
-    val prop = Prop.forAll(cases) { case (m, steps, probes, cfg) =>
+    val prop = Prop.forAll(cases) { case (m, steps, probes) =>
       val got = new ClusterStats(m)
       val present = mutable.ArrayBuffer.empty[UniqueLog]
       val failure = steps.iterator.map { step =>
@@ -119,7 +117,7 @@ class ClusterStatsSpec extends AnyFunSuite {
           }
         // read after every step, so weights cached before it are read after it
         val sameSimilarities = (probes ++ present.map(_.hashes)).forall { h =>
-          bits(PositionalDistance.similarity(h, got, cfg)) == bits(PositionalDistance.similarity(h, want, cfg))
+          bits(PositionalDistance.similarity(h, got)) == bits(PositionalDistance.similarity(h, want))
         }
         if (!sameCounts) Some(s"counts differ after $step")
         else if (!sameSimilarities) Some(s"a similarity differs after $step")

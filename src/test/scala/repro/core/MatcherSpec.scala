@@ -119,10 +119,10 @@ class MatcherSpec extends AnyFunSuite {
       seed <- Gen.choose(0L, 1000L)
       heldOutShare <- Gen.oneOf(0.0, 0.2, 0.5)
       stop <- Gen.oneOf(0.7, 0.9, 1.0)
-      variableInSaturation <- Gen.oneOf(true, false)
-    } yield (name, seed, heldOutShare, stop, variableInSaturation)
-    val prop = Prop.forAllNoShrink(cases) { case (name, seed, heldOutShare, stop, variableInSaturation) =>
-      val cfg = ByteBrainConfig(stopThreshold = stop, variableInSaturation = variableInSaturation)
+      prefixTokens <- Gen.oneOf(0, 1)
+    } yield (name, seed, heldOutShare, stop, prefixTokens)
+    val prop = Prop.forAllNoShrink(cases) { case (name, seed, heldOutShare, stop, prefixTokens) =>
+      val cfg = ByteBrainConfig(stopThreshold = stop, prefixTokens = prefixTokens)
       val data = LogSynth.generate(Datasets.loghubSpec(name), 1500, seed)
       val heldOut = new scala.util.Random(seed).shuffle(data.templates.map(_.id))
         .take((data.templates.size * heldOutShare).toInt).toSet

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.immutable.ArraySeq
-
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed

@@ -4,14 +4,12 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
 class SingleClusteringSpec extends AnyFunSuite {
-  private val cfg = ByteBrainConfig()
-
   private def logs(lines: String*): IndexedSeq[UniqueLog] =
     lines.toIndexedSeq.map(l => UniqueLog(l.split(" ")))
 
-  private def split(ls: IndexedSeq[UniqueLog], c: ByteBrainConfig = cfg, seed: Long = 1) = {
+  private def split(ls: IndexedSeq[UniqueLog], seed: Long = 1) = {
     val stats = ClusterStats.of(ls, ls.head.numTokens)
-    SingleClustering.split(ls, stats, Saturation.analyze(ls, stats, c), c, new Random(seed))
+    SingleClustering.split(ls, stats, Saturation.analyze(ls, stats), new Random(seed))
   }
 
   test("single log: no split") {
@@ -27,7 +25,7 @@ class SingleClusteringSpec extends AnyFunSuite {
     // position 2 is a declared variable, so position 1 is the only unresolved one
     val ls = (0 until 20).map(i => UniqueLog(Array("svc", if (i % 2 == 0) "start" else "stop", s"v$i", "ok"), 5))
     val stats = ClusterStats.of(ls, 4)
-    assert(Saturation.analyze(ls, stats, cfg).unresolved.toSeq == Seq(1))
+    assert(Saturation.analyze(ls, stats).unresolved.toSeq == Seq(1))
     val evens = ls.indices.filter(_ % 2 == 0).toVector
     val odds = ls.indices.filter(_ % 2 == 1).toVector
     assert(split(ls).contains(Vector(evens, odds)))
@@ -86,18 +84,6 @@ class SingleClusteringSpec extends AnyFunSuite {
   test("deterministic given the same seed") {
     val ls = (0 until 30).map(i => UniqueLog(Array("x", s"f${i % 3}", s"v$i"), 2))
     assert(split(ls, seed = 7) == split(ls, seed = 7))
-  }
-
-  test("random centroid ablation still partitions") {
-    val ls = (0 until 30).map(i => UniqueLog(Array("x", s"f${i % 3}", s"v$i", "e"), 2))
-    val r = split(ls, cfg.copy(kmeansPlusPlus = false))
-    r.foreach(groups => assert(groups.flatten.sorted == ls.indices.toVector))
-  }
-
-  test("w/o early stop still terminates and partitions") {
-    val ls = logs("a b", "a c")
-    val r = split(ls, cfg.copy(earlyStop = false))
-    r.foreach(groups => assert(groups.flatten.sorted == ls.indices.toVector))
   }
 
   test("outlier reabsorption keeps genuinely distinct statements separate") {

@@ -62,7 +62,7 @@ class TrainerSparkSpec extends SparkSpec {
     val key = "spark.sql.shuffle.partitions"
     val shufflePartitions = spark.conf.get(key)
     try {
-      for (c <- Seq(cfg, cfg.copy(sampleMaxLogs = 500), cfg.copy(dedup = false))) {
+      for (c <- Seq(cfg, cfg.copy(sampleMaxLogs = 500))) {
         val local = ModelCodec.serialize(ByteBrain.trainLocal(lines, c))
         for (shuffle <- Seq(1, 7); in <- Seq(1, 7)) {
           spark.conf.set(key, shuffle.toLong)
@@ -85,9 +85,6 @@ class TrainerSparkSpec extends SparkSpec {
     val clean = ModelCodec.serialize(ByteBrain.trainLocal(lines, cfg))
     assert(ModelCodec.serialize(ByteBrain.trainLocal(noisy, cfg)) sameElements clean)
     assert(ModelCodec.serialize(Trainer.train(spark, noisy.toDF("message"), cfg)) sameElements clean)
-    val unique = cfg.copy(dedup = false)
-    assert(ModelCodec.serialize(Trainer.train(spark, noisy.toDF("message"), unique)) sameElements
-      ModelCodec.serialize(ByteBrain.trainLocal(noisy, unique)))
   }
 
   test("matchDf matches every trained log to a template") {
@@ -157,7 +154,7 @@ class TrainerSparkSpec extends SparkSpec {
       .cache()
 
     // Spark GA == local GA
-    val sparkGa = GroupingAccuracy.computeDf(spark, assignments)
+    val sparkGa = GroupingAccuracy.computeDf(assignments)
     val rows = assignments.collect()
     val localGa = GroupingAccuracy.compute(
       rows.map(_.getInt(0)).toIndexedSeq, rows.map(_.getInt(1)).toIndexedSeq)
@@ -186,7 +183,7 @@ class TrainerSparkSpec extends SparkSpec {
     val matched = ByteBrain.matchDf(spark, model, logsDf, cfg)
     val assignments = ByteBrain.queryDf(spark, model, matched, 0.9)
       .select($"query_template_id".as("pred"), $"truth_id".as("truth"))
-    val ga = GroupingAccuracy.computeDf(spark, assignments)
+    val ga = GroupingAccuracy.computeDf(assignments)
     assert(ga > 0.85, f"GA=$ga%.3f")
   }
 
